@@ -208,9 +208,11 @@ def bilevel_step(state: SearchState, train_batch, val_batch, tau) -> StepMetrics
     net, cm, cfg = state.supernet, state.costmodel, state.config
     tr_x, tr_y = train_batch
     va_x, va_y = val_batch
+    # Each phase freezes what it does not update.  Thread-safe under
+    # `cosearch search --workers`: each seed owns its own Supernet.
     try:
         state.weight_opt.zero_grad()
-        with Tape() as tape:
+        with Tape(frozen=net.arch_parameters()) as tape:
             train_loss = net.forward_train(tr_x, tr_y, tau, state.rng)
             tape.backward(train_loss)
         state.weight_opt.step()
@@ -218,7 +220,7 @@ def bilevel_step(state: SearchState, train_batch, val_batch, tau) -> StepMetrics
         state.arch_opt.zero_grad()
         if state.pf_opt is not None:
             state.pf_opt.zero_grad()
-        with Tape() as tape:
+        with Tape(frozen=net.weight_parameters()) as tape:
             val_acc = net.forward_train(va_x, va_y, tau, state.rng)
             cost = cm.assemble(net.theta, net.phi, state.pf, tau, rng=state.rng)
             total = cm.total_loss(val_acc, cost.perf_loss, cost.resource)

@@ -46,16 +46,27 @@ def active_tape():
 
 
 class Tape:
-    """Ordered record of executed primitives; replayed once, in reverse."""
+    """Ordered record of executed primitives; replayed once, in reverse.
 
-    def __init__(self):
+    Parameters in `frozen` count as constants while the tape is live: their
+    requires_grad is cleared on enter and restored on exit (aborts
+    included), so nodes that depend on nothing else are never recorded and
+    no gradient is computed for them.
+    """
+
+    def __init__(self, frozen=()):
         self._entries = []
+        self._frozen = [p for p in frozen if p.requires_grad]
 
     def __enter__(self):
+        for p in self._frozen:
+            p.requires_grad = False
         _tape_stack().append(self)
         return self
 
     def __exit__(self, *exc):
+        for p in self._frozen:
+            p.requires_grad = True
         popped = _tape_stack().pop()
         assert popped is self
         return False
@@ -225,9 +236,11 @@ def sub(a, b):
 
 
 def mul(a, b):
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def grad_fn(g):
-        return (_unbroadcast(g * b.values, a.values.shape),
-                _unbroadcast(g * a.values, b.values.shape))
+        return (_unbroadcast(g * b.values, a.values.shape) if need_a else None,
+                _unbroadcast(g * a.values, b.values.shape) if need_b else None)
     return _make(a.values * b.values, (a, b), grad_fn, "mul")
 
 
@@ -383,19 +396,23 @@ def conv2d(x, weight, stride=1):
         cols_mat = cols.reshape(b, ci * k * k, ho * wo)
     w_mat = weight.values.reshape(co, ci * k * k)
     out = (w_mat @ cols_mat).reshape(b, co, ho, wo)
+    need_x, need_w = x.requires_grad, weight.requires_grad
 
     def grad_fn(g):
         g_mat = g.reshape(b, co, ho * wo)
-        # fold the batch into the contraction so both grads are single GEMMs
-        g2 = g_mat.transpose(1, 0, 2).reshape(co, b * ho * wo)
-        c2 = cols_mat.transpose(1, 0, 2).reshape(ci * k * k, b * ho * wo)
-        dw = (g2 @ c2.T).reshape(weight.values.shape)
-        dcols = np.matmul(w_mat.T[None], g_mat)
-        if k == 1 and stride == 1:
-            dx = dcols.reshape(x.values.shape)
-        else:
-            dx = _col2im(dcols.reshape(b, ci, k, k, ho, wo), x.values.shape,
-                         k, stride)
+        dx = dw = None
+        if need_w:
+            # fold the batch into the contraction: one GEMM
+            g2 = g_mat.transpose(1, 0, 2).reshape(co, b * ho * wo)
+            c2 = cols_mat.transpose(1, 0, 2).reshape(ci * k * k, b * ho * wo)
+            dw = (g2 @ c2.T).reshape(weight.values.shape)
+        if need_x:
+            dcols = np.matmul(w_mat.T[None], g_mat)
+            if k == 1 and stride == 1:
+                dx = dcols.reshape(x.values.shape)
+            else:
+                dx = _col2im(dcols.reshape(b, ci, k, k, ho, wo),
+                             x.values.shape, k, stride)
         return dx, dw
     return _make(out, (x, weight), grad_fn, "conv2d")
 
@@ -424,18 +441,21 @@ def depthwise_conv2d(x, weight, stride=1):
             out += weight.values[:, di, dj][None, :, None, None] \
                 * xp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
 
+    need_x, need_w = x.requires_grad, weight.requires_grad
+
     def grad_fn(g):
-        dxp = np.zeros_like(xp)
-        dw = np.empty_like(weight.values)
+        dxp = np.zeros_like(xp) if need_x else None
+        dw = np.empty_like(weight.values) if need_w else None
         for di in range(k):
             for dj in range(k):
-                tap = xp[:, :, di:di + stride * ho:stride,
-                         dj:dj + stride * wo:stride]
-                dw[:, di, dj] = (tap * g).sum(axis=(0, 2, 3))
-                dxp[:, :, di:di + stride * ho:stride,
-                    dj:dj + stride * wo:stride] += \
-                    weight.values[:, di, dj][None, :, None, None] * g
-        dx = dxp[:, :, pad:-pad, pad:-pad] if pad else dxp
+                win = (slice(None), slice(None),
+                       slice(di, di + stride * ho, stride),
+                       slice(dj, dj + stride * wo, stride))
+                if need_w:
+                    dw[:, di, dj] = (xp[win] * g).sum(axis=(0, 2, 3))
+                if need_x:
+                    dxp[win] += weight.values[:, di, dj][None, :, None, None] * g
+        dx = dxp[:, :, pad:-pad, pad:-pad] if need_x and pad else dxp
         return dx, dw
     return _make(out, (x, weight), grad_fn, "depthwise_conv2d")
 
@@ -450,11 +470,13 @@ def channel_affine(x, gamma, beta):
     gam = gamma.values.reshape(1, c, 1, 1)
     out = x.values * gam + beta.values.reshape(1, c, 1, 1)
 
+    need_x, need_gamma, need_beta = (x.requires_grad, gamma.requires_grad,
+                                     beta.requires_grad)
+
     def grad_fn(g):
-        dx = g * gam
-        dgamma = (g * x.values).sum(axis=(0, 2, 3))
-        dbeta = g.sum(axis=(0, 2, 3))
-        return dx, dgamma, dbeta
+        return (g * gam if need_x else None,
+                (g * x.values).sum(axis=(0, 2, 3)) if need_gamma else None,
+                g.sum(axis=(0, 2, 3)) if need_beta else None)
     return _make(out, (x, gamma, beta), grad_fn, "channel_affine")
 
 

@@ -1,16 +1,22 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosearch import data as datamod
+from cosearch import search
+from cosearch import tensorcore as tc
 from cosearch.costmodel import (CostHyperparams, CostModel, DeviceModel,
                                 reference_gpu_table)
-from cosearch.search import (DerivedDesign, InfeasibleError, SearchConfig,
-                             SearchError, bilevel_step, config_hash,
-                             derive_architecture, initial_parallel_factors,
-                             initialize, retune_parallel_factors, run_search)
+from cosearch.search import (DerivedDesign, InfeasibleError, SearchAbort,
+                             SearchConfig, SearchError, bilevel_step,
+                             config_hash, derive_architecture,
+                             initial_parallel_factors, initialize,
+                             retune_parallel_factors, run_search)
 from cosearch.supernet import QuantLevels, SearchSpace
+from cosearch.tensorcore import NonFiniteError
 
 
 def small_space(**kw):
@@ -126,6 +132,33 @@ class TestBilevelStep:
         for before, p in zip(w_after_p1, state.supernet.weight_parameters()):
             assert np.array_equal(before, p.values)
         assert not np.array_equal(arch_before[0], state.supernet.theta.values)
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_abort_in_phase_leaves_nothing_frozen(self, phase):
+        config = small_config()
+        state = initialize(config)
+        net = state.supernet
+        tb, vb = self._batches(config)
+        updated = {1: net.weight_parameters(),
+                   2: net.arch_parameters() + [state.pf]}[phase]
+        frozen = {1: net.arch_parameters(), 2: net.weight_parameters()}[phase]
+        real_forward = net.forward_train
+        calls = []
+
+        def failing_forward(*args):
+            loss = real_forward(*args)
+            calls.append([p.requires_grad for p in frozen + updated])
+            if len(calls) == phase:
+                raise NonFiniteError("non-finite values produced by 'injected'")
+            return loss
+
+        net.forward_train = failing_forward
+        with pytest.raises(SearchAbort, match="injected"):
+            bilevel_step(state, tb, vb, tau=1.0)
+        # frozen inside the failing phase, thawed after it
+        assert calls[-1] == [False] * len(frozen) + [True] * len(updated)
+        assert all(p.requires_grad for p in frozen + updated)
+        assert tc.active_tape() is None
 
     def test_step_metrics_finite(self):
         config = small_config()
@@ -298,6 +331,110 @@ class TestRetune:
         design = DerivedDesign("fpga_pipelined", [0, 1], [16, 16], [5, 5], False)
         tuned = retune_parallel_factors(design, space, device, hyper, perf_norm)
         assert tuned.predicted["resource"] <= 12.0
+
+
+@st.composite
+def phase_cases(draw):
+    """A random small space, a device of each kind, and fixed batches."""
+    def subset(values):
+        return tuple(sorted(draw(st.lists(st.sampled_from(values), min_size=1,
+                                          max_size=2, unique=True))))
+
+    n = draw(st.integers(1, 3))
+    hw = draw(st.sampled_from((6, 8)))
+    space = SearchSpace(
+        num_blocks=n, kernel_sizes=subset((1, 3, 5)),
+        expansion_ratios=subset((1, 2, 3)),
+        quant=QuantLevels(subset((4, 8, 16))), input_hw=(hw, hw),
+        stem_channels=4,
+        channel_plan=tuple(draw(st.sampled_from((4, 8))) for _ in range(n)),
+        downsample_blocks=tuple(i for i in range(1, n + 1)
+                                if draw(st.booleans())),
+        num_classes=3)
+    kind = draw(st.sampled_from(("fpga_recursive", "fpga_pipelined",
+                                 "gpu_table")))
+    device = (DeviceModel.gpu(reference_gpu_table(space))
+              if kind == "gpu_table" else DeviceModel(kind=kind, res_ub=900.0))
+    config = SearchConfig(space=space, device=device, seed=draw(
+        st.integers(0, 2 ** 16)))
+    rng = np.random.default_rng(7)
+    batches = [(rng.normal(size=(4, 3, hw, hw)), rng.integers(0, 3, 4))
+               for _ in range(2)]
+    return config, batches
+
+
+class _FullTape(tc.Tape):
+    """A tape that differentiates everything, frozen or not."""
+
+    def __init__(self, frozen=()):
+        super().__init__()
+
+
+class TestPhaseFreezing:
+    """Each bilevel phase differentiates only the variables it updates."""
+
+    @staticmethod
+    def _step(config, batches):
+        """One bilevel_step.  Returns, per phase, every parameter's gradient
+        at the optimizer step (all zeroed at the phase start) and the tape
+        nodes that the stem and block 0's op recorded."""
+        state = initialize(config)
+        net = state.supernet
+        params = net.weight_parameters() + net.arch_parameters()
+        if state.pf is not None:
+            params.append(state.pf)
+        grads, early_nodes, phase = {}, {}, []
+
+        def hook(opt, name):
+            real_step = opt.step
+
+            def zero_grad():
+                phase.append(name)
+                early_nodes[name] = 0
+                for p in params:
+                    p.zero_grad()
+
+            def step():
+                grads[name] = [p.grad.copy() for p in params]
+                real_step()
+            opt.zero_grad, opt.step = zero_grad, step
+
+        def count_early(fn, is_early):
+            def run(*args):
+                tape = tc.active_tape()
+                before = len(tape)
+                out = fn(*args)
+                if is_early(args):
+                    early_nodes[phase[-1]] += len(tape) - before
+                return out
+            return run
+
+        hook(state.weight_opt, "weight")
+        hook(state.arch_opt, "arch")
+        net._stem = count_early(net._stem, lambda args: True)
+        net._run_op = count_early(net._run_op, lambda args: args[1] == 0)
+        bilevel_step(state, *batches, tau=1.0)
+        assert all(p.requires_grad for p in params)
+        n_weights = len(net.weight_parameters())
+        updated = {"weight": range(n_weights),
+                   "arch": range(n_weights, len(params))}
+        return grads, early_nodes, updated
+
+    @settings(max_examples=25, deadline=None)
+    @given(phase_cases())
+    def test_phases_keep_full_tape_gradients(self, case):
+        config, batches = case
+        with mock.patch.object(search, "Tape", _FullTape):
+            full, full_early, _ = self._step(config, batches)
+        kept, kept_early, updated = self._step(config, batches)
+        for name, mine in updated.items():
+            for i, (g_kept, g_full) in enumerate(zip(kept[name], full[name])):
+                if i in mine:
+                    assert np.array_equal(g_kept, g_full)
+                else:
+                    assert not np.any(g_kept)
+        assert kept_early == {"weight": full_early["weight"], "arch": 0}
+        assert full_early["arch"] > 0
 
 
 class TestRunSearch:

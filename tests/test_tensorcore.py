@@ -155,9 +155,21 @@ class TestFiniteDiff:
                                    [x])
         assert err == 0.0
 
+    # primitive, input shapes, the input slots held constant
+    CONSTANT_INPUT = {
+        "conv_const_x": (lambda x, w: tc.conv2d(x, w, stride=2),
+                         ((2, 3, 5, 5), (4, 3, 3, 3)), (0,)),
+        "dwconv_const_w": (tc.depthwise_conv2d, ((2, 3, 5, 5), (3, 3, 3)),
+                           (1,)),
+        "affine_const_gb": (tc.channel_affine, ((2, 3, 4, 4), (3,), (3,)),
+                            (1, 2)),
+        "mul_const_b": (tc.mul, ((2, 3), (2, 3)), (1,)),
+    }
+
     PRIMITIVES = ["add", "sub", "mul", "div", "exp", "log", "tanh", "relu",
                   "pow2", "matmul", "conv", "dwconv", "affine", "gap",
-                  "xent", "softmax", "lse", "take", "stack"]
+                  "xent", "softmax", "lse", "take", "stack"] \
+        + list(CONSTANT_INPUT)
 
     @pytest.mark.parametrize("name", PRIMITIVES)
     def test_every_primitive_gradient(self, name):
@@ -168,8 +180,41 @@ class TestFiniteDiff:
             worst = max(worst, self._check_one(name, rng))
         assert worst < 1e-4, f"{name}: {worst}"
 
+    @pytest.mark.parametrize("name", list(CONSTANT_INPUT))
+    def test_constant_input_gets_no_gradient(self, name):
+        # the constant slot is None; the others match the all-variable
+        # closure bitwise
+        fn, shapes, constant = self.CONSTANT_INPUT[name]
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            values = [rng.normal(size=shape) for shape in shapes]
+
+            def closure_grads(held):
+                with Tape() as tape:
+                    out = fn(*[Tensor(v) if i in held else Parameter(v)
+                               for i, v in enumerate(values)])
+                (_, _, grad_fn), = tape._entries
+                return grad_fn(np.random.default_rng(seed).normal(
+                    size=out.values.shape))
+
+            full, kept = closure_grads(()), closure_grads(constant)
+            for i, (g_kept, g_full) in enumerate(zip(kept, full)):
+                if i in constant:
+                    assert g_kept is None
+                else:
+                    assert np.array_equal(g_kept, g_full)
+
     @staticmethod
     def _check_one(name, rng):
+        if name in TestFiniteDiff.CONSTANT_INPUT:
+            fn, shapes, constant = TestFiniteDiff.CONSTANT_INPUT[name]
+            inputs = [Tensor(rng.normal(size=shape)) if i in constant
+                      else Parameter(rng.normal(size=shape))
+                      for i, shape in enumerate(shapes)]
+            m2 = Tensor(rng.normal(size=fn(*inputs).values.shape))
+            return tc.finite_diff_check(
+                lambda: (fn(*inputs) * m2).sum(),
+                [t for t in inputs if isinstance(t, Parameter)])
         a = Parameter(rng.normal(size=(2, 3)))
         b = Parameter(rng.normal(size=(2, 3)) + 3.0)  # positive-ish for log/div
         mix = Tensor(rng.normal(size=(2, 3)))
