@@ -42,61 +42,76 @@ class ConfigFileError(Exception):
 
 
 # -- schema: section -> key -> (type, default, comment) ---------------------------
+# A default that sets a library field is read from that field; the literals
+# are the CLI's own settings.
+
+_SC, _SS = SearchConfig, SearchSpace
+_HP, _DS = CostHyperparams, datamod.DatasetSpec
 
 _SCHEMA = {
     "search": {
-        "epochs": (int, 12, "bilevel epochs of the co-search"),
-        "steps_per_epoch": (int, 12, "alternating steps per epoch"),
-        "batch_size": (int, 32, "minibatch size for both phases"),
-        "lr_weights": (float, 0.05, "SGD step for network weights"),
-        "momentum": (float, 0.9, "SGD momentum for network weights"),
-        "lr_arch": (float, 0.05, "Adam step for op/bit-width logits"),
-        "lr_pf": (float, 0.05, "Adam step for parallel factors"),
-        "tau_start": (float, 5.0, "initial sampling temperature"),
-        "tau_end": (float, 0.5, "final sampling temperature (exponential anneal)"),
-        "seed": (int, 1, "run seed; overridable with --seed"),
-        "alpha": (float, 1.0, "performance-loss scale"),
-        "beta": (float, 1.0, "resource-penalty weight"),
-        "penalty_base": (float, 2.718281828459045, "resource-penalty base (> 1)"),
+        "epochs": (int, _SC.epochs, "bilevel epochs of the co-search"),
+        "steps_per_epoch": (int, _SC.steps_per_epoch,
+                            "alternating steps per epoch"),
+        "batch_size": (int, _SC.batch_size, "minibatch size for both phases"),
+        "lr_weights": (float, _SC.lr_weights, "SGD step for network weights"),
+        "momentum": (float, _SC.momentum, "SGD momentum for network weights"),
+        "lr_arch": (float, _SC.lr_arch, "Adam step for op/bit-width logits"),
+        "lr_pf": (float, _SC.lr_pf, "Adam step for parallel factors"),
+        "tau_start": (float, _SC.tau_start, "initial sampling temperature"),
+        "tau_end": (float, _SC.tau_end,
+                    "final sampling temperature (exponential anneal)"),
+        "seed": (int, _SC.seed, "run seed; overridable with --seed"),
+        "alpha": (float, _HP.alpha, "performance-loss scale"),
+        "beta": (float, _HP.beta, "resource-penalty weight"),
+        "penalty_base": (float, _HP.base, "resource-penalty base (> 1)"),
         "penalty_res_norm": (
             "optional_float", None,
             "divisor of the penalty exponent; default: the resource bound"),
-        "retune_steps": (int, 400, "descent steps for post-search pf re-tuning"),
-        "retune_lr": (float, 0.03, "step size for pf re-tuning"),
-        "retrain_epochs": (int, 15, "epochs when retraining a derived design"),
+        "retune_steps": (int, _SC.retune_steps,
+                         "descent steps for post-search pf re-tuning"),
+        "retune_lr": (float, _SC.retune_lr, "step size for pf re-tuning"),
+        "retrain_epochs": (int, _SC.retrain_epochs,
+                           "epochs when retraining a derived design"),
     },
     "space": {
-        "blocks": (int, 4, "number of sequential searchable blocks"),
-        "kernel_sizes": ("int_list", [3, 5], "depthwise kernel menu (odd)"),
-        "expansion_ratios": ("int_list", [2, 4], "channel expansion menu"),
-        "bit_widths": ("int_list", [4, 8, 16], "weight bit-width menu, increasing"),
-        "input_hw": ("int_list", [16, 16], "input height and width"),
-        "input_channels": (int, 3, "input channels"),
-        "stem_channels": (int, 8, "channels out of the stem conv"),
-        "channel_plan": ("int_list", [8, 16, 16, 32], "output channels per block"),
-        "downsample_blocks": ("int_list", [2, 4],
+        "blocks": (int, _SS.num_blocks, "number of sequential searchable blocks"),
+        "kernel_sizes": ("int_list", list(_SS.kernel_sizes),
+                         "depthwise kernel menu (odd)"),
+        "expansion_ratios": ("int_list", list(_SS.expansion_ratios),
+                             "channel expansion menu"),
+        "bit_widths": ("int_list", list(_SS.quant.bit_widths),
+                       "weight bit-width menu, increasing"),
+        "input_hw": ("int_list", list(_SS.input_hw), "input height and width"),
+        "input_channels": (int, _SS.input_channels, "input channels"),
+        "stem_channels": (int, _SS.stem_channels, "channels out of the stem conv"),
+        "channel_plan": ("int_list", list(_SS.channel_plan),
+                         "output channels per block"),
+        "downsample_blocks": ("int_list", list(_SS.downsample_blocks),
                               "1-indexed blocks that stride by 2"),
-        "num_classes": (int, 4, "classifier classes (match data.classes)"),
+        "num_classes": (int, _SS.num_classes,
+                        "classifier classes (match data.classes)"),
     },
     "device": {
         "kind": (str, "fpga_recursive",
                  "fpga_recursive | fpga_pipelined | gpu_table"),
         "resource_bound": ("optional_float", 900.0,
                            "DSP budget (FPGA kinds only)"),
-        "pf_max": ("optional_float", None,
+        "pf_max": ("optional_float", DeviceModel.pf_max,
                    "parallel-factor clamp; default log2(resource_bound)"),
         "gpu_table_path": ("optional_str", None,
                            "YAML latency table, required for gpu_table"),
     },
     "data": {
-        "classes": (int, 4, "number of texture classes"),
-        "samples_per_class": (int, 256, "samples generated per class"),
-        "height": (int, 16, "image height"),
-        "width": (int, 16, "image width"),
-        "channels": (int, 3, "image channels"),
-        "seed": (int, 7, "generator seed"),
-        "noise_std": (float, 0.25, "additive noise level"),
-        "fractions": ("float_list", [0.4, 0.4, 0.2],
+        "classes": (int, _DS.num_classes, "number of texture classes"),
+        "samples_per_class": (int, _DS.samples_per_class,
+                              "samples generated per class"),
+        "height": (int, _DS.height, "image height"),
+        "width": (int, _DS.width, "image width"),
+        "channels": (int, _DS.channels, "image channels"),
+        "seed": (int, _DS.seed, "generator seed"),
+        "noise_std": (float, _DS.noise_std, "additive noise level"),
+        "fractions": ("float_list", list(_SC.fractions),
                       "train/validation/test fractions (sum to 1)"),
     },
     "output": {
@@ -246,7 +261,7 @@ def build_search_config(doc, seed=None, device_kind=None) -> SearchConfig:
         raise ConfigFileError(f"device: {exc}") from None
     res_norm = se["penalty_res_norm"]
     if res_norm is None:
-        res_norm = device.res_ub if kind != "gpu_table" else 1.0
+        res_norm = device.default_res_norm
     try:
         hyper = CostHyperparams(alpha=se["alpha"], beta=se["beta"],
                                 base=se["penalty_base"], res_norm=res_norm)
@@ -366,7 +381,7 @@ def report_document(report) -> dict:
     return doc
 
 
-def ranking_document(ranking, config_doc=None) -> dict:
+def ranking_document(ranking) -> dict:
     entries = []
     for pos, e in enumerate(ranking.entries):
         entries.append({
@@ -507,24 +522,10 @@ def cmd_eval(args) -> int:
     config = build_search_config(doc, device_kind=args.device)
     ddoc = read_json(args.design)
     design = design_from_document(ddoc)
-    space = config.space
-    if len(design.op_indices) != space.num_blocks:
-        raise ConfigFileError(
-            f"design has {len(design.op_indices)} blocks, space has "
-            f"{space.num_blocks}")
-    for i in range(space.num_blocks):
-        if not 0 <= design.op_indices[i] < space.num_ops:
-            raise ConfigFileError(
-                f"block {i}: op_index {design.op_indices[i]} out of range "
-                f"0..{space.num_ops - 1}")
-        if design.bit_widths[i] not in space.quant.bit_widths:
-            raise ConfigFileError(
-                f"block {i}: bit_width {design.bit_widths[i]} not in "
-                f"{space.quant.bit_widths}")
-        if (config.device.kind != "gpu_table"
-                and design.parallel_factors is None):
-            raise ConfigFileError(f"block {i}: parallel_factor missing for "
-                                  f"an FPGA device")
+    config.space.check_design(design)
+    if config.device.kind != "gpu_table" and design.parallel_factors is None:
+        raise ConfigFileError("design: parallel_factor missing for an FPGA "
+                              "device")
     # metrics are recomputed from the design fields, never echoed from the file
     design.predicted = predict_discrete(config.space, config.device,
                                         design.op_indices, design.bit_widths,
@@ -611,13 +612,14 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="brute-force rank the whole space")
     common(p)
-    p.add_argument("--cap", type=int, default=4096,
+    protocol = oraclemod.OracleProtocol
+    p.add_argument("--cap", type=int, default=protocol.cap,
                    help="refuse spaces larger than this")
-    p.add_argument("--train-steps", type=int, default=150,
+    p.add_argument("--train-steps", type=int, default=protocol.train_steps,
                    help="accuracy-protocol training steps per config")
-    p.add_argument("--protocol-seed", type=int, default=0,
+    p.add_argument("--protocol-seed", type=int, default=protocol.seed,
                    help="shared seed of the accuracy protocol")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=protocol.workers)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("eval", help="retrain and measure a derived design")

@@ -91,6 +91,11 @@ def mbconv_layers(spec: OpSpec):
     ]
 
 
+def op_work(space: SearchSpace, i, m) -> float:
+    """Latency work term of op m in block i: its layers' factors summed."""
+    return sum(layer.factor() for layer in mbconv_layers(space.op_spec(i, m)))
+
+
 class GpuLatencyTable:
     """Measured normalized latencies keyed by (op menu index, bit-width)."""
 
@@ -147,9 +152,7 @@ def reference_gpu_table(space: SearchSpace) -> GpuLatencyTable:
     normalized so the cheapest entry is 1.0."""
     entries = {}
     for m in range(space.num_ops):
-        work = sum(
-            sum(layer.factor() for layer in mbconv_layers(space.op_spec(i, m)))
-            for i in range(space.num_blocks))
+        work = sum(op_work(space, i, m) for i in range(space.num_blocks))
         for q in space.quant.bit_widths:
             entries[(m, q)] = work * q
     lo = min(entries.values())
@@ -191,6 +194,12 @@ class DeviceModel:
         return self.kind == "gpu_table"
 
     @property
+    def default_res_norm(self):
+        # the penalty exponent in units of the budget, so C^x stays tame at
+        # DSP scale; the GPU kind has no penalty
+        return self.res_ub if self.kind != "gpu_table" else 1.0
+
+    @property
     def pf_layout(self):
         # recursive: one pf per shared op IP; pipelined: one per (block, op)
         return {"fpga_recursive": "per_op", "fpga_pipelined": "per_block_op",
@@ -229,7 +238,6 @@ class CostHyperparams:
 class CostOutputs:
     perf_loss: Tensor
     resource: Tensor
-    penalty: Tensor
     block_perfs_norm: list = field(default_factory=list)  # floats, diagnostics
 
 
@@ -249,29 +257,8 @@ class CostModel:
                                 f"16-bit, got {bad}")
         else:
             device.table.validate(space.num_ops, space.quant.bit_widths)
-        self._factors = [
-            [sum(layer.factor() for layer in mbconv_layers(space.op_spec(i, m)))
-             for m in range(space.num_ops)]
-            for i in range(space.num_blocks)]
-
-    # -- per-op costs at a fixed bit-width ------------------------------------
-
-    def op_geom_factor(self, i, m) -> float:
-        return self._factors[i][m]
-
-    def op_latency_q(self, i, m, pf, q) -> Tensor:
-        """Latency of op m in block i at q-bit with parallelism 2^pf."""
-        if self.device.kind == "gpu_table":
-            return Tensor(self.device.table.lookup(m, q))
-        pf = pf if isinstance(pf, Tensor) else Tensor(float(pf))
-        return tc.pow2(-pf) * Tensor(phi_cal(q) * self._factors[i][m])
-
-    def op_resource_q(self, pf, q) -> Tensor:
-        """DSP count of one IP at q-bit with parallelism 2^pf."""
-        if self.device.kind == "gpu_table":
-            return Tensor(0.0)
-        pf = pf if isinstance(pf, Tensor) else Tensor(float(pf))
-        return tc.pow2(pf) * Tensor(psi(q))
+        self._factors = [[op_work(space, i, m) for m in range(space.num_ops)]
+                         for i in range(space.num_blocks)]
 
     # -- expectations over the sampling weights -------------------------------
 
@@ -399,7 +386,6 @@ class CostModel:
         else:
             resource = self.unshared_total_resource(block_ress)
         return CostOutputs(perf_loss=ploss, resource=resource,
-                           penalty=self.penalty(resource),
                            block_perfs_norm=[float(p.values) for p in block_perfs_n])
 
     def _check_pf(self, pf):

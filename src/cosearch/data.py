@@ -10,9 +10,6 @@ easily.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,32 +190,3 @@ def linear_probe_accuracy(train: Dataset, heldout: Dataset, epochs=30,
                      + b.values, axis=1)
     return float((pred == heldout.labels).mean())
 
-
-# -- optional on-disk cache ----------------------------------------------------
-
-def spec_key(spec: DatasetSpec) -> str:
-    blob = json.dumps(spec.__dict__, sort_keys=True).encode()
-    return hashlib.sha1(blob).hexdigest()
-
-
-def save_dataset(dataset: Dataset, path: str):
-    np.savez(path,
-             images=dataset.images,
-             labels=dataset.labels,
-             spec=json.dumps(dataset.spec.__dict__, sort_keys=True))
-
-
-def load_dataset(path: str) -> Dataset:
-    with np.load(path, allow_pickle=False) as blob:
-        spec = DatasetSpec(**json.loads(str(blob["spec"])))
-        return Dataset(images=blob["images"], labels=blob["labels"], spec=spec)
-
-
-def cached_dataset(spec: DatasetSpec, cache_dir: str) -> Dataset:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"dataset-{spec_key(spec)}.npz")
-    if os.path.exists(path):
-        return load_dataset(path)
-    dataset = generate_dataset(spec)
-    save_dataset(dataset, path)
-    return dataset

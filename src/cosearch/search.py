@@ -13,14 +13,14 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import data as datamod
 from . import tensorcore as tc
-from .costmodel import (CostHyperparams, CostModel, DeviceModel, mbconv_layers,
-                        phi_cal, psi)
+from .costmodel import (CostHyperparams, CostModel, DeviceModel,
+                        GpuLatencyTable, op_work, phi_cal, psi)
 from .supernet import SearchSpace, Supernet
 from .tensorcore import NonFiniteError, Parameter, Tape, Tensor
 
@@ -111,17 +111,13 @@ class SearchConfig:
     tau_start: float = 5.0
     tau_end: float = 0.5
     seed: int = 1
-    retune_steps: int = 300
-    retune_lr: float = 0.02
+    retune_steps: int = 400
+    retune_lr: float = 0.03
     retrain_epochs: int = 15
 
     def __post_init__(self):
         if self.hyper is None:
-            # penalty exponent measured in units of the budget, so C^x stays
-            # tame at DSP scale
-            res_norm = (self.device.res_ub
-                        if self.device.kind != "gpu_table" else 1.0)
-            self.hyper = CostHyperparams(res_norm=res_norm)
+            self.hyper = CostHyperparams(res_norm=self.device.default_res_norm)
         if self.data is None:
             self.data = datamod.DatasetSpec(num_classes=self.space.num_classes)
         if self.epochs < 1:
@@ -260,10 +256,6 @@ class DerivedDesign:
         return self.bit_widths[0] if self.shared_precision else None
 
 
-def _op_factor(space: SearchSpace, i, m) -> float:
-    return sum(layer.factor() for layer in mbconv_layers(space.op_spec(i, m)))
-
-
 def predict_discrete(space, device, ops, bits, pfs):
     """Exact (no sampling-weight) metrics of a discrete design."""
     n = space.num_blocks
@@ -276,7 +268,7 @@ def predict_discrete(space, device, ops, bits, pfs):
             "resource": 0.0,
             "resource_bound": None,
         }
-    lats = [phi_cal(bits[i]) * _op_factor(space, i, ops[i]) * 2.0 ** -pfs[i]
+    lats = [phi_cal(bits[i]) * op_work(space, i, ops[i]) * 2.0 ** -pfs[i]
             for i in range(n)]
     if device.kind == "fpga_recursive":
         res = 0.0
@@ -346,27 +338,23 @@ def retune_parallel_factors(design: DerivedDesign, space: SearchSpace,
         var_of_block = list(range(n))
         var_psi = [psi(bits[i]) for i in range(n)]
         start = [float(p) for p in design.parallel_factors]
-    lat_consts = [phi_cal(bits[i]) * _op_factor(space, i, ops[i]) / perf_norm
+    lat_consts = [phi_cal(bits[i]) * op_work(space, i, ops[i]) / perf_norm
                   for i in range(n)]
 
+    cm = CostModel(space, device, hyper)
     pf = Parameter(np.asarray(start))
     opt = Adam([pf], lr=lr)
     for _ in range(steps):
         opt.zero_grad()
         with Tape() as tape:
-            lat = tc.stack([Tensor(lat_consts[i]) * tc.pow2(-pf[var_of_block[i]])
-                            for i in range(n)])
-            perf = tc.log_sum_exp(lat) if device.perf_aggregation == "lse" \
-                else lat.sum()
-            perf = perf * Tensor(hyper.alpha)
+            perf = cm.perf_loss(
+                Tensor(lat_consts[i]) * tc.pow2(-pf[var_of_block[i]])
+                for i in range(n))
             res = None
             for v, p_v in enumerate(var_psi):
                 term = Tensor(p_v) * tc.pow2(pf[v])
                 res = term if res is None else res + term
-            expo = (res - Tensor(device.res_ub)) / Tensor(hyper.res_norm)
-            loss = perf + tc.exp(expo * Tensor(math.log(hyper.base))) \
-                * Tensor(hyper.beta)
-            tape.backward(loss)
+            tape.backward(perf + cm.penalty(res))
         opt.step()
         pf.assign(np.clip(pf.values, 0.0, device.pf_max))
 
@@ -544,51 +532,17 @@ def eval_accuracy(net: Supernet, design, dataset, batch_size=256) -> float:
 
 # -- config serialization (echoed into every report) ---------------------------------
 
-def config_to_dict(config: SearchConfig) -> dict:
-    space, device = config.space, config.device
-    out = {
-        "search": {
-            "epochs": config.epochs,
-            "steps_per_epoch": config.steps_per_epoch,
-            "batch_size": config.batch_size,
-            "lr_weights": config.lr_weights,
-            "momentum": config.momentum,
-            "lr_arch": config.lr_arch,
-            "lr_pf": config.lr_pf,
-            "tau_start": config.tau_start,
-            "tau_end": config.tau_end,
-            "seed": config.seed,
-            "alpha": config.hyper.alpha,
-            "beta": config.hyper.beta,
-            "penalty_base": config.hyper.base,
-            "penalty_res_norm": config.hyper.res_norm,
-            "retune_steps": config.retune_steps,
-            "retune_lr": config.retune_lr,
-            "retrain_epochs": config.retrain_epochs,
-        },
-        "space": {
-            "blocks": space.num_blocks,
-            "kernel_sizes": list(space.kernel_sizes),
-            "expansion_ratios": list(space.expansion_ratios),
-            "bit_widths": list(space.quant.bit_widths),
-            "input_hw": list(space.input_hw),
-            "input_channels": space.input_channels,
-            "stem_channels": space.stem_channels,
-            "channel_plan": list(space.channel_plan),
-            "downsample_blocks": list(space.downsample_blocks),
-            "num_classes": space.num_classes,
-        },
-        "device": {
-            "kind": device.kind,
-            "resource_bound": device.res_ub if device.kind != "gpu_table" else None,
-            "pf_max": device.pf_max,
-            "gpu_table": (device.table.to_mapping()
-                          if device.table is not None else None),
-        },
-        "data": dict(asdict(config.data)),
-        "fractions": list(config.fractions),
-    }
-    return out
+def config_to_dict(value):
+    """The config tree as plain data under its field names: dataclasses as
+    mappings, tuples as lists, the GPU latency table as its mapping."""
+    if is_dataclass(value):
+        return {f.name: config_to_dict(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [config_to_dict(v) for v in value]
+    if isinstance(value, GpuLatencyTable):
+        return value.to_mapping()
+    return value
 
 
 def config_hash(config: SearchConfig) -> str:
@@ -598,6 +552,6 @@ def config_hash(config: SearchConfig) -> str:
     against one oracle ranking of the same configuration.
     """
     doc = config_to_dict(config)
-    doc["search"] = {k: v for k, v in doc["search"].items() if k != "seed"}
+    del doc["seed"]
     blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha1(blob).hexdigest()

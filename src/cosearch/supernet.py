@@ -127,6 +127,20 @@ class SearchSpace:
         w_out = (w + 1) // 2 if stride == 2 else w
         return c_in, c_out, h, w, h_out, w_out, stride
 
+    def check_design(self, design):
+        """Raise SpaceError naming the first block of a discrete design
+        whose op index or bit-width is outside this space."""
+        ops, bits = list(design.op_indices), list(design.bit_widths)
+        n, m_max = self.num_blocks, self.num_ops
+        if len(ops) != n or len(bits) != n:
+            raise SpaceError(f"design has {len(ops)} blocks, space has {n}")
+        for i, (m, b) in enumerate(zip(ops, bits)):
+            if not 0 <= m < m_max:
+                raise SpaceError(f"block {i}: op_index {m} out of range 0..{m_max - 1}")
+            if b not in self.quant.bit_widths:
+                raise SpaceError(f"block {i}: bit_width {b} not in "
+                                 f"{self.quant.bit_widths}")
+
     def op_spec(self, i, m) -> OpSpec:
         k, e = self.op_menu[m]
         c_in, c_out, h, w, h_out, w_out, stride = self.block_geometry(i)
@@ -336,25 +350,11 @@ class Supernet:
 
     def forward_infer(self, design, images):
         """Deterministic single-path logits for a derived design."""
-        ops, bits_choice = self._check_design(design)
+        self.space.check_design(design)
         x = self._stem(images)
         for i in range(self.space.num_blocks):
-            x = self._run_op(x, i, ops[i], bits_choice[i])
+            x = self._run_op(x, i, design.op_indices[i], design.bit_widths[i])
         return self._head(x)
 
     def infer_loss(self, design, images, labels):
         return tc.softmax_cross_entropy(self.forward_infer(design, images), labels)
-
-    def _check_design(self, design):
-        ops = list(design.op_indices)
-        bits_choice = list(design.bit_widths)
-        n, m_max = self.space.num_blocks, self.space.num_ops
-        if len(ops) != n or len(bits_choice) != n:
-            raise SpaceError(f"design has {len(ops)} blocks, space has {n}")
-        for i, (m, b) in enumerate(zip(ops, bits_choice)):
-            if not 0 <= m < m_max:
-                raise SpaceError(f"block {i}: op_index {m} out of range 0..{m_max - 1}")
-            if b not in self.space.quant.bit_widths:
-                raise SpaceError(f"block {i}: bit_width {b} not in "
-                                 f"{self.space.quant.bit_widths}")
-        return ops, bits_choice

@@ -52,21 +52,28 @@ class Tape:
     requires_grad is cleared on enter and restored on exit (aborts
     included), so nodes that depend on nothing else are never recorded and
     no gradient is computed for them.
+
+    numpy's overflow/invalid warnings are off while the tape is live: every
+    node is checked for finiteness anyway, and that NonFiniteError names
+    the op.
     """
 
     def __init__(self, frozen=()):
         self._entries = []
         self._frozen = [p for p in frozen if p.requires_grad]
+        self._errstate = np.errstate(over="ignore", invalid="ignore")
 
     def __enter__(self):
         for p in self._frozen:
             p.requires_grad = False
+        self._errstate.__enter__()
         _tape_stack().append(self)
         return self
 
     def __exit__(self, *exc):
         for p in self._frozen:
             p.requires_grad = True
+        self._errstate.__exit__(*exc)
         popped = _tape_stack().pop()
         assert popped is self
         return False
@@ -126,10 +133,6 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def size(self):
-        return self.values.size
-
     def item(self):
         return float(self.values)
 
@@ -170,9 +173,6 @@ class Tensor:
 
     def sum(self):
         return total_sum(self)
-
-    def mean(self):
-        return total_mean(self)
 
 
 class Parameter(Tensor):
@@ -322,14 +322,6 @@ def total_sum(a):
     def grad_fn(g):
         return (np.broadcast_to(g, a.values.shape),)
     return _make(a.values.sum(), (a,), grad_fn, "sum")
-
-
-def total_mean(a):
-    n = a.values.size
-
-    def grad_fn(g):
-        return (np.broadcast_to(g / n, a.values.shape),)
-    return _make(a.values.mean(), (a,), grad_fn, "mean")
 
 
 def matmul(a, b):

@@ -124,9 +124,13 @@ class TestCriterion2CostModelExactness:
         assert (conv, dw, elem) == (16384.0, 4608.0, 512.0)
         space = SearchSpace()
         cm = CostModel(space, DeviceModel.fpga_recursive(900.0))
-        assert cm.op_resource_q(6.0, 16).item() == 64.0
-        assert cm.op_resource_q(4.0, 8).item() == 8.0
-        assert cm.op_resource_q(9.0, 4).item() == 0.0
+
+        def dsps(pf, q):  # one IP at one-hot q-bit weights
+            weights = Tensor([float(b == q) for b in space.quant.bit_widths])
+            return cm.expected_op_cost(0, 0, weights, pf=pf)[1].item()
+        assert dsps(6.0, 16) == 64.0
+        assert dsps(4.0, 8) == 8.0
+        assert dsps(9.0, 4) == 0.0
         assert [psi(q) for q in (3, 4, 5, 8, 9, 16)] == [0, 0, 0.5, 0.5, 1, 1]
         assert time.time() - started < 1.0
         _report("criterion 2: cost-model exactness (16384/4608/512 cycles, "

@@ -1,13 +1,16 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from cosearch import cli
-from cosearch.costmodel import reference_gpu_table
+from cosearch.costmodel import DeviceModel, reference_gpu_table
+from cosearch.oracle import OracleProtocol
+from cosearch.search import SearchConfig
 from cosearch.supernet import QuantLevels, SearchSpace
 
 
@@ -84,6 +87,17 @@ class TestConfigSchema:
 
     def test_missing_file(self):
         assert cli.main(["search", "-c", "/nonexistent.yaml"]) == 1
+
+    def test_defaults_are_the_library_defaults(self):
+        # the CLI's own choices: device kind fpga_recursive at 900 DSPs
+        library = SearchConfig(space=SearchSpace(),
+                               device=DeviceModel.fpga_recursive(900.0))
+        assert cli.build_search_config(cli.default_config()) == library
+        args = cli.build_parser().parse_args(["enumerate", "-c", "run.yaml"])
+        protocol = OracleProtocol()
+        assert (args.train_steps, args.protocol_seed, args.cap, args.workers) \
+            == (protocol.train_steps, protocol.seed, protocol.cap,
+                protocol.workers)
 
 
 class TestJsonSerialization:
@@ -194,14 +208,14 @@ class TestEnumerateEvalCompare:
 
     def test_ranking_file_sorted_and_deterministic(self, small_cfg, artifacts):
         _, ranking_path, _, out = artifacts
-        doc = json.loads(open(ranking_path).read())
+        doc = cli.read_json(ranking_path)
         losses = [e["total_loss"] for e in doc["entries"]]
         assert losses == sorted(losses)
         assert len(doc["entries"]) == 16  # (2 ops * 2 widths)^2
-        first = open(ranking_path, "rb").read()
+        first = Path(ranking_path).read_bytes()
         assert cli.main(["enumerate", "-c", small_cfg,
                          "--train-steps", "4"]) == 0
-        assert open(ranking_path, "rb").read() == first
+        assert Path(ranking_path).read_bytes() == first
 
     def test_compare_rank_and_threshold(self, artifacts):
         report, ranking, _, _ = artifacts
@@ -212,7 +226,7 @@ class TestEnumerateEvalCompare:
 
     def test_compare_hash_mismatch_refused(self, artifacts, tmp_path):
         report, ranking, _, _ = artifacts
-        doc = json.loads(open(ranking).read())
+        doc = cli.read_json(ranking)
         doc["config_hash"] = "0" * 40
         other = tmp_path / "other_ranking.json"
         cli.write_json(str(other), doc)
@@ -223,7 +237,7 @@ class TestEnumerateEvalCompare:
         assert cli.main(["eval", "-c", small_cfg, design_path,
                          "--retrain-epochs", "1"]) == 0
         result = json.loads((out / "eval.json").read_text())
-        design = json.loads(open(design_path).read())
+        design = cli.read_json(design_path)
         # resource check: sum over used IPs of dsp-scale * 2^pf
         psi = {4: 0.0, 8: 0.5, 16: 1.0}
         by_ip = {}
@@ -239,7 +253,7 @@ class TestEnumerateEvalCompare:
     def test_eval_q4_design_reports_zero_resource(self, small_cfg, tmp_path,
                                                   artifacts):
         _, _, design_path, out = artifacts
-        doc = json.loads(open(design_path).read())
+        doc = cli.read_json(design_path)
         for block in doc["blocks"]:
             block["bit_width"] = 4
         doc["predicted"]["resource"] = 999.0  # stale value must be recomputed
@@ -253,7 +267,7 @@ class TestEnumerateEvalCompare:
     def test_eval_recomputes_for_wider_bits(self, small_cfg, tmp_path,
                                             artifacts):
         _, _, design_path, out = artifacts
-        doc = json.loads(open(design_path).read())
+        doc = cli.read_json(design_path)
         for block in doc["blocks"]:
             block["bit_width"] = 8
         doc["predicted"]["resource"] = -1.0  # stale value must be recomputed
@@ -272,11 +286,22 @@ class TestEnumerateEvalCompare:
     def test_eval_incompatible_design_names_block(self, small_cfg, artifacts,
                                                   tmp_path):
         _, _, design_path, _ = artifacts
-        doc = json.loads(open(design_path).read())
+        doc = cli.read_json(design_path)
         doc["blocks"][1]["op_index"] = 9
         bad = tmp_path / "bad_design.json"
         cli.write_json(str(bad), doc)
         assert cli.main(["eval", "-c", small_cfg, str(bad)]) == 1
+
+    def test_eval_bit_width_outside_space_names_block(self, small_cfg,
+                                                      artifacts, tmp_path,
+                                                      capsys):
+        _, _, design_path, _ = artifacts
+        doc = cli.read_json(design_path)
+        doc["blocks"][1]["bit_width"] = 16
+        bad = tmp_path / "wide_bits_design.json"
+        cli.write_json(str(bad), doc)
+        assert cli.main(["eval", "-c", small_cfg, str(bad)]) == 1
+        assert "block 1: bit_width 16" in capsys.readouterr().err
 
 
 class TestDesignDocument:

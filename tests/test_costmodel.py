@@ -6,8 +6,8 @@ import pytest
 from cosearch import tensorcore as tc
 from cosearch.costmodel import (CostError, CostHyperparams, CostModel,
                                 DeviceModel, GpuLatencyTable, LayerGeom,
-                                MissingEntryError, mbconv_layers, phi_cal, psi,
-                                reference_gpu_table)
+                                MissingEntryError, mbconv_layers, op_work,
+                                phi_cal, psi, reference_gpu_table)
 from cosearch.supernet import PhiArray, QuantLevels, SearchSpace
 from cosearch.tensorcore import Parameter, Tape, Tensor
 
@@ -19,6 +19,13 @@ def fpga_space(**kw):
                     stem_channels=8, num_classes=4)
     defaults.update(kw)
     return SearchSpace(**defaults)
+
+
+def at_bits(cm, i, m, pf, q):
+    """(latency, resource) of op (i, m) at one-hot q-bit weights."""
+    weights = Tensor([float(b == q) for b in cm.space.quant.bit_widths])
+    perf, res = cm.expected_op_cost(i, m, weights, pf=pf)
+    return perf.item(), res.item()
 
 
 class TestCalibration:
@@ -38,7 +45,7 @@ class TestLayerLatency:
     """Hand-computed single-layer values; bit-exact."""
 
     def setup_method(self):
-        space = fpga_space()
+        space = fpga_space(quant=QuantLevels((4, 8, 16)))
         self.cm = CostModel(space, DeviceModel.fpga_recursive(900))
 
     def test_conv_layer(self):
@@ -58,25 +65,25 @@ class TestLayerLatency:
 
     def test_resource_values(self):
         cm = self.cm
-        assert cm.op_resource_q(6.0, 16).item() == 64.0
-        assert cm.op_resource_q(4.0, 8).item() == 8.0
-        assert cm.op_resource_q(11.0, 4).item() == 0.0
+        assert at_bits(cm, 0, 0, 6.0, 16)[1] == 64.0
+        assert at_bits(cm, 0, 0, 4.0, 8)[1] == 8.0
+        assert at_bits(cm, 0, 0, 11.0, 4)[1] == 0.0
 
     def test_op_latency_sums_layers(self):
         space = fpga_space()
         cm = CostModel(space, DeviceModel.fpga_recursive(900))
         expect = sum(layer.factor() for layer in mbconv_layers(space.op_spec(0, 0)))
-        got = cm.op_latency_q(0, 0, 0.0, 4).item()
+        got = at_bits(cm, 0, 0, 0.0, 4)[0]
         assert got == 4.0 * expect
 
     def test_latency_monotone_decreasing_in_pf(self):
         cm = self.cm
-        lats = [cm.op_latency_q(0, 0, pf, 8).item() for pf in (0, 1, 2, 5.5)]
+        lats = [at_bits(cm, 0, 0, pf, 8)[0] for pf in (0, 1, 2, 5.5)]
         assert all(a > b for a, b in zip(lats, lats[1:]))
 
     def test_resource_monotone_increasing_in_pf(self):
         cm = self.cm
-        ress = [cm.op_resource_q(pf, 8).item() for pf in (0, 1, 2, 5.5)]
+        ress = [at_bits(cm, 0, 0, pf, 8)[1] for pf in (0, 1, 2, 5.5)]
         assert all(a < b for a, b in zip(ress, ress[1:]))
 
 
@@ -98,13 +105,13 @@ class TestExpectations:
 
     def test_one_hot_selects_single_level(self):
         perf, res = self.cm.expected_op_cost(0, 0, Tensor([1.0, 0.0]), pf=3.0)
-        assert perf.item() == self.cm.op_latency_q(0, 0, 3.0, 4).item()
-        assert res.item() == self.cm.op_resource_q(3.0, 4).item()
+        assert perf.item() == phi_cal(4) * op_work(self.space, 0, 0) * 2.0 ** -3
+        assert res.item() == psi(4) * 2.0 ** 3
 
     def test_uniform_weights_average(self):
         perf, _ = self.cm.expected_op_cost(0, 0, Tensor([0.5, 0.5]), pf=0.0)
-        a = self.cm.op_latency_q(0, 0, 0.0, 4).item()
-        b = self.cm.op_latency_q(0, 0, 0.0, 8).item()
+        a = at_bits(self.cm, 0, 0, 0.0, 4)[0]
+        b = at_bits(self.cm, 0, 0, 0.0, 8)[0]
         assert perf.item() == pytest.approx((a + b) / 2, rel=1e-15)
 
     def test_uniform_mean_of_100_200(self):

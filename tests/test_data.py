@@ -85,23 +85,3 @@ class TestCalibration:
         assert conv_acc >= 0.90
         assert lin_acc <= 0.70
 
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        spec = DatasetSpec(samples_per_class=8, seed=5)
-        ds = datamod.generate_dataset(spec)
-        path = tmp_path / "ds.npz"
-        datamod.save_dataset(ds, str(path))
-        back = datamod.load_dataset(str(path))
-        assert np.array_equal(back.images, ds.images)
-        assert np.array_equal(back.labels, ds.labels)
-        assert back.spec == spec
-
-    def test_cached_dataset_hits(self, tmp_path):
-        spec = DatasetSpec(samples_per_class=8, seed=5)
-        a = datamod.cached_dataset(spec, str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        b = datamod.cached_dataset(spec, str(tmp_path))
-        assert np.array_equal(a.images, b.images)
-        assert list(tmp_path.iterdir()) == files

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import functools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +13,7 @@ from cosearch import data as datamod
 from cosearch import search
 from cosearch import tensorcore as tc
 from cosearch.costmodel import (CostHyperparams, CostModel, DeviceModel,
-                                reference_gpu_table)
+                                GpuLatencyTable, reference_gpu_table)
 from cosearch.search import (DerivedDesign, InfeasibleError, SearchAbort,
                              SearchConfig, SearchError, bilevel_step,
                              config_hash, derive_architecture,
@@ -437,6 +441,37 @@ class TestPhaseFreezing:
         assert full_early["arch"] > 0
 
 
+def leaf_paths(obj, prefix=()):
+    """Field paths of a config tree down to its non-dataclass values."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from leaf_paths(value, prefix + (f.name,))
+        else:
+            yield prefix + (f.name,)
+
+
+def with_leaf(obj, path, value):
+    """Copy of a config tree with one leaf replaced, validation skipped."""
+    if not path:
+        return value
+    clone = copy.copy(obj)
+    object.__setattr__(clone, path[0],
+                       with_leaf(getattr(obj, path[0]), path[1:], value))
+    return clone
+
+
+def changed(value):
+    if isinstance(value, GpuLatencyTable):
+        key = min(value.entries)
+        return GpuLatencyTable({**value.entries, key: value.entries[key] + 1})
+    if isinstance(value, tuple):
+        return value + value[-1:]
+    if isinstance(value, str):
+        return value + "x"
+    return 1.0 if value is None else value + 1
+
+
 class TestRunSearch:
     def test_loss_decreases_and_design_feasible(self):
         config = small_config(epochs=6, steps_per_epoch=5)
@@ -483,6 +518,22 @@ class TestRunSearch:
         assert a == b
         assert a != c
 
+    def test_every_leaf_field_changes_hash(self):
+        space = small_space(quant=QuantLevels((8, 16)))
+        gpu = small_config(space=space,
+                           device=DeviceModel.gpu(reference_gpu_table(space)))
+        for config in (small_config(), gpu):
+            base = config_hash(config)
+            paths = list(leaf_paths(config))
+            assert ("space", "quant", "bit_widths") in paths
+            for path in paths:
+                value = functools.reduce(getattr, path, config)
+                other = config_hash(with_leaf(config, path, changed(value)))
+                if path == ("seed",):
+                    assert other == base
+                else:
+                    assert other != base, path
+
     def test_degenerate_gpu_space_has_no_free_choice(self):
         # M=1, Q=1 on the gpu model: phase 2 cannot move the argmax
         space = SearchSpace(num_blocks=2, kernel_sizes=(3,),
@@ -495,6 +546,12 @@ class TestRunSearch:
         report = run_search(config)
         assert report.design.op_indices == [0, 0]
         assert report.design.bit_widths == [8, 8]
+
+    def test_numerical_abort_warns_nothing_and_names_op(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_search(small_config(lr_weights=1e80, epochs=4))
+        assert "non-finite values produced by '" in report.aborted["reason"]
 
     def test_numerical_abort_preserves_partial_trajectory(self):
         config = small_config(lr_weights=1e80, epochs=4)
