@@ -16,6 +16,10 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
+# Bytes of one depthwise batch slice (padded input, output and product
+# buffer): small enough that a slice stays in cache across all k*k taps.
+_DW_SLICE_BYTES = 512 * 1024
+
 
 class TensorError(Exception):
     pass
@@ -56,6 +60,11 @@ class Tape:
     numpy's overflow/invalid warnings are off while the tape is live: every
     node is checked for finiteness anyway, and that NonFiniteError names
     the op.
+
+    backward stores gradient arrays without copying them. That is safe
+    because no gradient closure writes to its incoming gradient or to an
+    array it has returned, and gradients are accumulated out of place; so
+    one array may be shared between nodes, or be a read-only view.
     """
 
     def __init__(self, frozen=()):
@@ -100,16 +109,18 @@ class Tape:
                 if g is None or not inp.requires_grad:
                     continue
                 key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = np.array(g, dtype=np.float64, copy=True)
+                grads[key] = grads[key] + g if key in grads else g
             del g_out
         for _, inputs, _ in self._entries:
             for inp in inputs:
                 g = grads.pop(id(inp), None)
                 if g is not None and isinstance(inp, Parameter):
                     inp.grad += g
+
+
+def _check_finite(arr, op):
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"non-finite values produced by '{op}'")
 
 
 class Tensor:
@@ -123,8 +134,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad=False, _op="tensor"):
         arr = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"non-finite values produced by '{_op}'")
+        _check_finite(arr, _op)
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -192,8 +202,7 @@ class Parameter(Tensor):
         if arr.shape != self.values.shape:
             raise ShapeError(
                 f"assign: shape {arr.shape} != parameter shape {self.values.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("non-finite values produced by 'assign'")
+        _check_finite(arr, "assign")
         self.values = arr
 
 
@@ -278,11 +287,10 @@ def tanh(a):
 
 
 def relu(a):
-    mask = a.values > 0
-
     def grad_fn(g):
-        return (g * mask,)
-    return _make(np.where(mask, a.values, 0.0), (a,), grad_fn, "relu")
+        return (g * (a.values > 0),)
+    # maximum(-0.0, 0.0) is +0.0, as where(a > 0, a, 0.0) gives
+    return _make(np.maximum(a.values, 0.0), (a,), grad_fn, "relu")
 
 
 def pow2(a):
@@ -339,13 +347,21 @@ def matmul(a, b):
 
 # -- neural-net primitives ---------------------------------------------------
 
+def _pad_hw(x, pad):
+    """Copy of (B,C,H,W) x with `pad` zeros on each side of H and W."""
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
 def _im2col(x, k, stride):
     """(B,C,H,W) -> patches (B,C,k,k,Ho,Wo) with same padding (k odd)."""
     pad = k // 2
     b, c, h, w = x.shape
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = _pad_hw(x, pad)
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     # win: (B, C, Hp-k+1, Wp-k+1, k, k) -> strided then to (B,C,k,k,Ho,Wo)
     win = win[:, :, ::stride, ::stride]
@@ -362,9 +378,7 @@ def _col2im(cols, x_shape, k, stride):
         for dj in range(k):
             xp[:, :, di:di + stride * ho:stride,
                dj:dj + stride * wo:stride] += cols[:, :, di, dj]
-    if pad == 0:
-        return xp
-    return xp[:, :, pad:-pad, pad:-pad]
+    return xp[:, :, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x, weight, stride=1):
@@ -425,29 +439,42 @@ def depthwise_conv2d(x, weight, stride=1):
     b, _, h, w = x.values.shape
     ho = (h - 1) // stride + 1
     wo = (w - 1) // stride + 1
-    xp = np.pad(x.values, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = _pad_hw(x.values, pad)
+    # (di, dj, weight column, output-window rows, columns) per tap
+    taps = [(di, dj, weight.values[:, di, dj][None, :, None, None],
+             slice(di, di + stride * ho, stride),
+             slice(dj, dj + stride * wo, stride))
+            for di in range(k) for dj in range(k)]
+    # Per-tap accumulation avoids materializing the k^2-expanded patch
+    # array. Batch slices sized to _DW_SLICE_BYTES keep a slice's input,
+    # output and product buffer in cache across all taps; every element
+    # still sums its taps in (di, dj) order, so the slicing changes no bits.
+    step = max(1, _DW_SLICE_BYTES // (8 * c * (xp[0, 0].size + 2 * ho * wo)))
     out = np.zeros((b, c, ho, wo))
-    # per-tap accumulation avoids materializing the k^2-expanded patch array
-    for di in range(k):
-        for dj in range(k):
-            out += weight.values[:, di, dj][None, :, None, None] \
-                * xp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
+    for lo in range(0, b, step):
+        o = out[lo:lo + step]
+        buf = np.empty(o.shape)
+        for _, _, w_tap, rows, cols in taps:
+            o += np.multiply(w_tap, xp[lo:lo + step, :, rows, cols], out=buf)
 
     need_x, need_w = x.requires_grad, weight.requires_grad
 
     def grad_fn(g):
-        dxp = np.zeros_like(xp) if need_x else None
-        dw = np.empty_like(weight.values) if need_w else None
-        for di in range(k):
-            for dj in range(k):
-                win = (slice(None), slice(None),
-                       slice(di, di + stride * ho, stride),
-                       slice(dj, dj + stride * wo, stride))
-                if need_w:
-                    dw[:, di, dj] = (xp[win] * g).sum(axis=(0, 2, 3))
-                if need_x:
-                    dxp[win] += weight.values[:, di, dj][None, :, None, None] * g
-        dx = dxp[:, :, pad:-pad, pad:-pad] if need_x and pad else dxp
+        dx = dw = None
+        if need_w:
+            # Full batch, not sliced: numpy's sum over axes (0, 2, 3) adds in
+            # an order that summing per slice does not reproduce bit for bit.
+            dw = np.empty_like(weight.values)
+            for di, dj, _, rows, cols in taps:
+                dw[:, di, dj] = (xp[:, :, rows, cols] * g).sum(axis=(0, 2, 3))
+        if need_x:
+            dxp = np.zeros_like(xp)
+            for lo in range(0, b, step):
+                d, gs = dxp[lo:lo + step], g[lo:lo + step]
+                buf = np.empty(gs.shape)
+                for _, _, w_tap, rows, cols in taps:
+                    d[:, :, rows, cols] += np.multiply(w_tap, gs, out=buf)
+            dx = dxp[:, :, pad:pad + h, pad:pad + w]
         return dx, dw
     return _make(out, (x, weight), grad_fn, "depthwise_conv2d")
 
@@ -460,7 +487,8 @@ def channel_affine(x, gamma, beta):
             f"channel_affine: need per-channel params of shape ({c},), got "
             f"{gamma.values.shape} and {beta.values.shape}")
     gam = gamma.values.reshape(1, c, 1, 1)
-    out = x.values * gam + beta.values.reshape(1, c, 1, 1)
+    out = x.values * gam
+    out += beta.values.reshape(1, c, 1, 1)
 
     need_x, need_gamma, need_beta = (x.requires_grad, gamma.requires_grad,
                                      beta.requires_grad)

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosearch import tensorcore as tc
 from cosearch.tensorcore import (NonFiniteError, Parameter, ShapeError, Tape,
@@ -24,6 +26,14 @@ class TestForwardValues:
 
     def test_relu(self):
         assert tc.relu(Tensor([-1, 0, 2])).values.tolist() == [0, 0, 2]
+        tiny = np.finfo(np.float64).smallest_subnormal
+        base = np.array([[-0.0, 0.0, tiny, -tiny, 3 * tiny, -1.5, 2.5, -0.0],
+                         [1e-310, -1e-310, 0.0, -0.0, 7.0, -7.0, tiny, 1.0]])
+        for a in (base, base[:, ::3], base.T[::2]):
+            got = tc.relu(Tensor(a)).values
+            want = np.where(a > 0, a, 0.0)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_xent_uniform_logits(self):
         loss = tc.softmax_cross_entropy(Tensor([[0.0, 0.0]]), [0])
@@ -60,6 +70,23 @@ class TestBackward:
         x = Parameter(2.0)
         backward(lambda: x * x + x, [x])
         assert x.grad == pytest.approx(5.0)
+
+    def test_shared_gradient_array_accumulates_per_parameter(self):
+        # add hands one gradient array to both its inputs and
+        # straight_through passes it on, so y and x first store the same
+        # array; x then accumulates its second use into it
+        x, y = Parameter([1.0, 2.0]), Parameter([3.0, 4.0])
+
+        def loss():
+            return ((x * Tensor([1.0, 3.0])).sum()
+                    + ((tc.straight_through(x, [0.0, 0.0]) + y)
+                       * Tensor([2.0, 5.0])).sum())
+        backward(loss, [x, y])
+        with Tape() as tape:
+            tape.backward(loss())
+        assert x.grad.tolist() == [6.0, 16.0]
+        assert y.grad.tolist() == [4.0, 10.0]
+        assert not np.shares_memory(x.grad, y.grad)
 
     def test_non_scalar_loss_rejected(self):
         x = Parameter([1.0, 2.0])
@@ -289,6 +316,73 @@ class TestFiniteDiff:
                 lambda: tc.log_sum_exp(tc.stack([v[0] * v[1], v[2], v[3] * v[0]])),
                 [v])
         raise AssertionError(name)
+
+
+def reference_depthwise(x, weight, stride, g):
+    """The plain per-tap depthwise conv: output, d/dx and d/dweight for the
+    output gradient g, over the whole batch at once."""
+    c, k, _ = weight.shape
+    pad = k // 2
+    _, _, h, w = x.shape
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros((x.shape[0], c, ho, wo))
+    dxp = np.zeros_like(xp)
+    dw = np.empty_like(weight)
+    for di in range(k):
+        for dj in range(k):
+            win = (slice(None), slice(None),
+                   slice(di, di + stride * ho, stride),
+                   slice(dj, dj + stride * wo, stride))
+            out += weight[:, di, dj][None, :, None, None] * xp[win]
+            dw[:, di, dj] = (xp[win] * g).sum(axis=(0, 2, 3))
+            dxp[win] += weight[:, di, dj][None, :, None, None] * g
+    return out, dxp[:, :, pad:pad + h, pad:pad + w], dw
+
+
+@st.composite
+def depthwise_cases(draw):
+    b, c = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    k = draw(st.sampled_from((1, 3, 5, 7)))
+    stride = draw(st.sampled_from((1, 2)))
+    held = draw(st.sampled_from(((), (0,), (1,))))
+    # samples per batch slice: one, a remainder slice, or the whole batch
+    per_slice = draw(st.integers(1, b))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    x, weight = rng.normal(size=(b, c, h, w)), rng.normal(size=(c, k, k))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    return x, weight, stride, held, per_slice, rng
+
+
+class TestDepthwiseReference:
+    @settings(max_examples=300, deadline=None)
+    @given(depthwise_cases())
+    def test_bitwise_equal_to_per_tap_loop(self, case):
+        x, weight, stride, held, per_slice, rng = case
+        (b, c, h, w), k = x.shape, weight.shape[1]
+        pad = k // 2
+        assert np.array_equal(tc._pad_hw(x, pad), np.pad(
+            x, ((0, 0), (0, 0), (pad, pad), (pad, pad))))
+        ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+        g = rng.normal(size=(b, c, ho, wo))
+        want = reference_depthwise(x, weight, stride, g)
+        # the byte budget of `per_slice` samples: padded input, output and
+        # product buffer
+        sample_bytes = 8 * c * ((h + 2 * pad) * (w + 2 * pad) + 2 * ho * wo)
+        with mock.patch.object(tc, "_DW_SLICE_BYTES", per_slice * sample_bytes):
+            with Tape() as tape:
+                out = tc.depthwise_conv2d(
+                    *[Tensor(v) if i in held else Parameter(v)
+                      for i, v in enumerate((x, weight))], stride=stride)
+            (_, _, grad_fn), = tape._entries
+            grads = grad_fn(g)
+        assert np.array_equal(out.values, want[0])
+        for i, got in enumerate(grads):
+            if i in held:
+                assert got is None
+            else:
+                assert np.array_equal(got, want[i + 1])
 
 
 class TestDeterminism:
