@@ -172,9 +172,13 @@ class DeviceModel:
     def __post_init__(self):
         if self.kind not in DEVICE_KINDS:
             raise CostError(f"unknown device kind '{self.kind}'")
-        if self.kind != "gpu_table" and self.res_ub <= 0:
-            raise CostError(f"{self.kind} needs a positive resource bound, "
-                            f"got {self.res_ub}")
+        if self.kind != "gpu_table" and not (math.isfinite(self.res_ub)
+                                             and self.res_ub > 0):
+            raise CostError(f"{self.kind} needs a finite resource bound "
+                            f"res_ub > 0, got {self.res_ub}")
+        if self.pf_max is not None and not (math.isfinite(self.pf_max)
+                                            and self.pf_max >= 0):
+            raise CostError(f"pf_max must be finite and >= 0, got {self.pf_max}")
         if self.kind == "gpu_table" and self.table is None:
             raise CostError("gpu_table device needs a latency table")
         if self.pf_max is None and self.kind != "gpu_table":
@@ -259,74 +263,66 @@ class CostModel:
             device.table.validate(space.num_ops, space.quant.bit_widths)
         self._factors = [[op_work(space, i, m) for m in range(space.num_ops)]
                          for i in range(space.num_blocks)]
+        # N x M x Q per-level latencies, and DSPs per unit of parallelism
+        bits = space.quant.bit_widths
+        shape = (space.num_blocks, space.num_ops, len(bits))
+        if device.kind == "gpu_table":
+            lat = [[device.table.lookup(m, q) for q in bits]
+                   for m in range(space.num_ops)]
+        else:
+            lat = [[[phi_cal(q) * f for q in bits] for f in row]
+                   for row in self._factors]
+            self._psi = Tensor(np.broadcast_to([psi(q) for q in bits], shape))
+        self._lat = Tensor(np.broadcast_to(lat, shape))
 
     # -- expectations over the sampling weights -------------------------------
 
-    def expected_op_cost(self, i, m, phi_weights, pf=None):
-        """(perf, resource) of op (i, m) under bit-width weights."""
-        bits = self.space.quant.bit_widths
+    def op_costs(self, phi_w, pf=None):
+        """Expected (latency, resource) of every op under bit-width weights.
+
+        phi_w is N x M x Q, or one Q-vector shared by every op; pf follows
+        the device's pf layout.  Latency scales with 2^-pf and resource with
+        2^pf; both come out N x M, and the GPU resource is None (fixed).
+        """
         if self.device.kind == "gpu_table":
-            lat = Tensor([self.device.table.lookup(m, q) for q in bits])
-            return (phi_weights * lat).sum(), Tensor(0.0)
-        pf = pf if isinstance(pf, Tensor) else Tensor(float(pf))
-        lat_per_q = Tensor([phi_cal(q) * self._factors[i][m] for q in bits])
-        res_per_q = Tensor([psi(q) for q in bits])
-        perf = (phi_weights * lat_per_q).sum() * tc.pow2(-pf)
-        res = (phi_weights * res_per_q).sum() * tc.pow2(pf)
-        return perf, res
+            return (phi_w * self._lat).sum(axis=-1), None
+        lat = (phi_w * self._lat).sum(axis=-1) * tc.pow2(-pf)
+        return lat, (phi_w * self._psi).sum(axis=-1) * tc.pow2(pf)
 
     @staticmethod
-    def block_cost(theta_weights, op_perfs, op_ress):
-        """(perf, resource) of one block: op-weight expectations."""
-        perf = (theta_weights * tc.stack(op_perfs)).sum()
-        res = (theta_weights * tc.stack(op_ress)).sum()
-        return perf, res
+    def block_costs(theta_w, op_costs):
+        """Op-weight expectation of an N x M cost array: one value per block."""
+        return (theta_w * op_costs).sum(axis=-1)
 
     # -- network-level aggregation ---------------------------------------------
 
     def perf_loss(self, block_perfs) -> Tensor:
-        """alpha-scaled sum (latency target) or log-sum-exp (throughput)."""
-        vec = tc.stack(list(block_perfs))
+        """alpha-scaled sum (latency target) or log-sum-exp (throughput) of
+        the block-perf vector."""
         if self.device.perf_aggregation == "lse":
-            agg = tc.log_sum_exp(vec)
+            agg = tc.log_sum_exp(block_perfs)
         else:
-            agg = vec.sum()
+            agg = block_perfs.sum()
         return agg * Tensor(self.hyper.alpha)
 
-    def shared_total_resource(self, theta_ws, phi_ws, pf):
-        """Recursive-accelerator resource: one IP per op, counted once via a
-        tanh usage gate.
+    def total_resource(self, theta_w, op_res) -> Tensor:
+        """Network resource from N x M op weights and op resources.
 
-        The IP's bit-width expectation weights each block's quantization
-        weights by that block's selection weight, so tanh(u)/u <= 1 keeps the
-        shared total at or below the unshared sum on any state.
+        Pipelined: every (block, op) IP is its own, so the block sum.
+        Recursive: one IP per op, counted once through a tanh usage gate on
+        its summed selection weight u; the IP's resource is its users'
+        selection-weighted mean, so tanh(u)/u <= 1 keeps the shared total
+        at or below the unshared sum on any state.
         """
-        if pf.values.shape != (self.space.num_ops,):
-            raise CostError(
-                f"shared resource needs one pf per op IP, got pf shape "
-                f"{pf.values.shape}")
-        n = self.space.num_blocks
-        res_vec = Tensor([psi(q) for q in self.space.quant.bit_widths])
-        total = None
-        for m in range(self.space.num_ops):
-            usage = None
-            weighted = None
-            for i in range(n):
-                contrib = theta_ws[i][m] * (phi_ws[i][m] * res_vec).sum()
-                usage = theta_ws[i][m] if usage is None else usage + theta_ws[i][m]
-                weighted = contrib if weighted is None else weighted + contrib
-            # the epsilon only matters at usage == 0.0, where the limit is 0
-            ip_res = weighted / (usage + Tensor(1e-300)) * tc.pow2(pf[m])
-            term = tc.tanh(usage) * ip_res
-            total = term if total is None else total + term
-        return total
-
-    @staticmethod
-    def unshared_total_resource(block_ress):
-        total = None
-        for r in block_ress:
-            total = r if total is None else total + r
-        return total
+        mode = self.device.resource_mode
+        if mode == "fixed":
+            return Tensor(0.0)
+        if mode == "unshared":
+            return self.block_costs(theta_w, op_res).sum()
+        usage = theta_w.sum(axis=0)
+        # the epsilon only matters at usage == 0.0, where the limit is 0
+        ip_res = (theta_w * op_res).sum(axis=0) / (usage + Tensor(1e-300))
+        return (tc.tanh(usage) * ip_res).sum()
 
     def penalty(self, resource: Tensor) -> Tensor:
         """beta * C^((RES - RES_ub)/res_norm); zero when resource is fixed."""
@@ -345,48 +341,29 @@ class CostModel:
         """Expectation costs for the current logits.
 
         rng=None gives noise-free softmax weights (reporting / gradient
-        checks); with an rng each weight vector gets its own concrete
-        sample, as during search.
+        checks); with an rng every weight vector gets its own concrete
+        sample, from one draw taken in per-block order: the block's M op
+        uniforms, then its M x Q bit-width uniforms (with shared precision
+        the Q shared uniforms come first, then N x M op uniforms).
         """
-        space = self.space
         self._check_pf(pf)
-        theta_ws, phi_ws = [], []
-        shared_w = None
-        if self.device.shared_precision:
-            shared_w = tc.gumbel_softmax(phi.logits(0, 0), tau, rng=rng)
-        for i in range(space.num_blocks):
-            theta_ws.append(tc.gumbel_softmax(theta[i], tau, rng=rng))
-            row = []
-            for m in range(space.num_ops):
-                row.append(shared_w if shared_w is not None
-                           else tc.gumbel_softmax(phi.logits(i, m), tau, rng=rng))
-            phi_ws.append(row)
+        n, m, q = phi.n, phi.m, phi.q
+        (phi_logits,) = phi.parameters()
+        u_theta = u_phi = None
+        if rng is not None and phi.shared_precision:
+            u = rng.random(q + n * m)
+            u_phi, u_theta = u[:q], u[q:].reshape(n, m)
+        elif rng is not None:
+            u = rng.random((n, m + m * q))
+            u_theta, u_phi = u[:, :m], u[:, m:].reshape(n, m, q)
+        theta_w = tc.gumbel_softmax_rows(theta, tau, u_theta)
+        phi_w = tc.gumbel_softmax_rows(phi_logits, tau, u_phi)
 
-        block_perfs, block_ress = [], []
-        for i in range(space.num_blocks):
-            op_perfs, op_ress = [], []
-            for m in range(space.num_ops):
-                perf, res = self.expected_op_cost(
-                    i, m, phi_ws[i][m], pf=self._pf_scalar(pf, i, m))
-                op_perfs.append(perf)
-                op_ress.append(res)
-            perf_i, res_i = self.block_cost(theta_ws[i], op_perfs, op_ress)
-            block_perfs.append(perf_i)
-            block_ress.append(res_i)
-
-        norm = Tensor(self.perf_norm)
-        block_perfs_n = [p / norm for p in block_perfs]
-        ploss = self.perf_loss(block_perfs_n)
-
-        mode = self.device.resource_mode
-        if mode == "fixed":
-            resource = Tensor(0.0)
-        elif mode == "shared":
-            resource = self.shared_total_resource(theta_ws, phi_ws, pf)
-        else:
-            resource = self.unshared_total_resource(block_ress)
-        return CostOutputs(perf_loss=ploss, resource=resource,
-                           block_perfs_norm=[float(p.values) for p in block_perfs_n])
+        op_lat, op_res = self.op_costs(phi_w, pf)
+        block_perfs_n = self.block_costs(theta_w, op_lat) / Tensor(self.perf_norm)
+        return CostOutputs(perf_loss=self.perf_loss(block_perfs_n),
+                           resource=self.total_resource(theta_w, op_res),
+                           block_perfs_norm=block_perfs_n.values.tolist())
 
     def _check_pf(self, pf):
         layout = self.device.pf_layout
@@ -401,11 +378,6 @@ class CostModel:
         if pf.values.shape != want:
             raise CostError(f"{self.device.kind} expects pf shape {want}, "
                             f"got {pf.values.shape}")
-
-    def _pf_scalar(self, pf, i, m):
-        if pf is None:
-            return None
-        return pf[m] if self.device.pf_layout == "per_op" else pf[(i, m)]
 
     # -- normalizer -----------------------------------------------------------
 

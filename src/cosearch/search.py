@@ -342,18 +342,14 @@ def retune_parallel_factors(design: DerivedDesign, space: SearchSpace,
                   for i in range(n)]
 
     cm = CostModel(space, device, hyper)
+    lat_vec, psi_vec = Tensor(lat_consts), Tensor(var_psi)
     pf = Parameter(np.asarray(start))
     opt = Adam([pf], lr=lr)
     for _ in range(steps):
         opt.zero_grad()
         with Tape() as tape:
-            perf = cm.perf_loss(
-                Tensor(lat_consts[i]) * tc.pow2(-pf[var_of_block[i]])
-                for i in range(n))
-            res = None
-            for v, p_v in enumerate(var_psi):
-                term = Tensor(p_v) * tc.pow2(pf[v])
-                res = term if res is None else res + term
+            perf = cm.perf_loss(lat_vec * tc.pow2(-pf[var_of_block]))
+            res = (psi_vec * tc.pow2(pf)).sum()
             tape.backward(perf + cm.penalty(res))
         opt.step()
         pf.assign(np.clip(pf.values, 0.0, device.pf_max))

@@ -181,8 +181,8 @@ class Tensor:
     def __getitem__(self, idx):
         return take(self, idx)
 
-    def sum(self):
-        return total_sum(self)
+    def sum(self, axis=None):
+        return total_sum(self, axis)
 
 
 class Parameter(Tensor):
@@ -326,10 +326,13 @@ def stack(tensors):
                  grad_fn, "stack")
 
 
-def total_sum(a):
+def total_sum(a, axis=None):
+    """Sum of all entries, or over one axis."""
     def grad_fn(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.values.shape),)
-    return _make(a.values.sum(), (a,), grad_fn, "sum")
+    return _make(a.values.sum(axis=axis), (a,), grad_fn, "sum")
 
 
 def matmul(a, b):
@@ -558,6 +561,22 @@ def log_sum_exp(v):
     return _make(m + np.log(z), (v,), grad_fn, "log_sum_exp")
 
 
+def gumbel_softmax_rows(logits, tau, u=None):
+    """Concrete relaxation over the last axis of `logits`.
+
+    `u` holds one uniform per logit (the Gumbel noise source); u=None gives
+    the plain tempered softmax.  Each row comes out exactly as a separate
+    vector call with that row's uniforms would.
+    """
+    if tau <= 0:
+        raise ValueError(f"gumbel_softmax: tau must be positive, got {tau}")
+    z = logits
+    if u is not None:
+        u = np.clip(u, 1e-12, 1.0 - 1e-12)
+        z = z + Tensor(-np.log(-np.log(u)))
+    return softmax(z / Tensor(float(tau)))
+
+
 def gumbel_softmax(logits, tau, rng=None, hard=False):
     """Concrete-relaxation sample over a logit vector.
 
@@ -565,16 +584,11 @@ def gumbel_softmax(logits, tau, rng=None, hard=False):
     value is one-hot at the argmax while gradients follow the soft weights
     (straight-through).
     """
-    if tau <= 0:
-        raise ValueError(f"gumbel_softmax: tau must be positive, got {tau}")
     if logits.values.ndim != 1:
         raise ShapeError(f"gumbel_softmax expects a logit vector, got shape "
                          f"{logits.values.shape}")
-    z = logits
-    if rng is not None:
-        u = np.clip(rng.random(logits.values.shape), 1e-12, 1.0 - 1e-12)
-        z = z + Tensor(-np.log(-np.log(u)))
-    soft = softmax(z / Tensor(float(tau)))
+    u = None if rng is None else rng.random(logits.values.shape)
+    soft = gumbel_softmax_rows(logits, tau, u)
     if not hard:
         return soft
     one_hot = np.zeros_like(soft.values)

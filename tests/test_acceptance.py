@@ -127,7 +127,7 @@ class TestCriterion2CostModelExactness:
 
         def dsps(pf, q):  # one IP at one-hot q-bit weights
             weights = Tensor([float(b == q) for b in space.quant.bit_widths])
-            return cm.expected_op_cost(0, 0, weights, pf=pf)[1].item()
+            return cm.op_costs(weights, Tensor(pf))[1][(0, 0)].item()
         assert dsps(6.0, 16) == 64.0
         assert dsps(4.0, 8) == 8.0
         assert dsps(9.0, 4) == 0.0
@@ -285,13 +285,10 @@ class TestCriterion6DeviceContracts:
             phi.parameters()[0].assign(rng.normal(0, 3, (3, 2, 3)))
             pf = Parameter(rng.uniform(0, 8, 2))
             out = cm.assemble(theta, phi, pf, tau=1.0)
-            unshared = 0.0
-            for i in range(3):
-                tw = tc.gumbel_softmax(theta[i], 1.0).values
-                for m in range(2):
-                    w = tc.gumbel_softmax(phi.logits(i, m), 1.0)
-                    _, r = cm.expected_op_cost(i, m, w, pf=pf[m])
-                    unshared += tw[m] * r.item()
+            tw = tc.gumbel_softmax_rows(theta, 1.0)
+            _, r = cm.op_costs(tc.gumbel_softmax_rows(phi.parameters()[0], 1.0),
+                               pf)
+            unshared = float((tw.values * r.values).sum())
             assert out.resource.item() <= unshared + 1e-9
         _report("criterion 6c: recursive shared resource never exceeds the "
                 "unshared sum (200 states)", started)

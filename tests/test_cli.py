@@ -164,6 +164,21 @@ class TestSearchCommand:
                         .replace("resource_bound: 64", "resource_bound: 1.5"))
         assert cli.main(["search", "-c", str(path)]) == 2
 
+    @pytest.mark.parametrize("line, named", [
+        ("resource_bound: .inf", "resource bound"),
+        ("resource_bound: .nan", "resource bound"),
+        ("resource_bound: 64\n  pf_max: -1.0", "pf_max"),
+    ])
+    def test_bad_device_bound_is_a_config_error(self, tmp_path, capsys, line,
+                                                named):
+        path = tmp_path / "bad.yaml"
+        path.write_text(SMALL_YAML.format(out=tmp_path / "o")
+                        .replace("resource_bound: 64", line))
+        assert cli.main(["search", "-c", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: device: ") and named in err
+        assert "Traceback" not in err
+
     def test_numerical_abort_exit_code_and_partial_report(self, tmp_path):
         path = tmp_path / "explode.yaml"
         doc = SMALL_YAML.format(out=tmp_path / "o").replace(

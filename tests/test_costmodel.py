@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosearch import tensorcore as tc
-from cosearch.costmodel import (CostError, CostHyperparams, CostModel,
-                                DeviceModel, GpuLatencyTable, LayerGeom,
-                                MissingEntryError, mbconv_layers, op_work,
-                                phi_cal, psi, reference_gpu_table)
+from cosearch.costmodel import (DEVICE_KINDS, CostError, CostHyperparams,
+                                CostModel, DeviceModel, GpuLatencyTable,
+                                LayerGeom, MissingEntryError, mbconv_layers,
+                                op_work, phi_cal, psi, reference_gpu_table)
 from cosearch.supernet import PhiArray, QuantLevels, SearchSpace
 from cosearch.tensorcore import Parameter, Tape, Tensor
 
@@ -24,8 +25,8 @@ def fpga_space(**kw):
 def at_bits(cm, i, m, pf, q):
     """(latency, resource) of op (i, m) at one-hot q-bit weights."""
     weights = Tensor([float(b == q) for b in cm.space.quant.bit_widths])
-    perf, res = cm.expected_op_cost(i, m, weights, pf=pf)
-    return perf.item(), res.item()
+    perf, res = cm.op_costs(weights, Tensor(pf))
+    return perf[(i, m)].item(), res[(i, m)].item()
 
 
 class TestCalibration:
@@ -104,15 +105,16 @@ class TestExpectations:
         self.cm = CostModel(self.space, DeviceModel.fpga_recursive(900))
 
     def test_one_hot_selects_single_level(self):
-        perf, res = self.cm.expected_op_cost(0, 0, Tensor([1.0, 0.0]), pf=3.0)
-        assert perf.item() == phi_cal(4) * op_work(self.space, 0, 0) * 2.0 ** -3
-        assert res.item() == psi(4) * 2.0 ** 3
+        perf, res = self.cm.op_costs(Tensor([1.0, 0.0]), Tensor(3.0))
+        assert perf[(0, 0)].item() == \
+            phi_cal(4) * op_work(self.space, 0, 0) * 2.0 ** -3
+        assert res[(0, 0)].item() == psi(4) * 2.0 ** 3
 
     def test_uniform_weights_average(self):
-        perf, _ = self.cm.expected_op_cost(0, 0, Tensor([0.5, 0.5]), pf=0.0)
+        perf, _ = self.cm.op_costs(Tensor([0.5, 0.5]), Tensor(0.0))
         a = at_bits(self.cm, 0, 0, 0.0, 4)[0]
         b = at_bits(self.cm, 0, 0, 0.0, 8)[0]
-        assert perf.item() == pytest.approx((a + b) / 2, rel=1e-15)
+        assert perf[(0, 0)].item() == pytest.approx((a + b) / 2, rel=1e-15)
 
     def test_uniform_mean_of_100_200(self):
         # averaging per-level costs {100, 200} -> 150
@@ -124,34 +126,37 @@ class TestExpectations:
         phi = Parameter([0.3, -0.4])
         def loss():
             w = tc.softmax(phi)
-            perf, res = self.cm.expected_op_cost(0, 1, w, pf=2.0)
-            return perf * Tensor(1e-4) + res
+            perf, res = self.cm.op_costs(w, Tensor(2.0))
+            return perf[(0, 1)] * Tensor(1e-4) + res[(0, 1)]
         assert tc.finite_diff_check(loss, [phi]) < 1e-4
 
     def test_block_cost_one_hot_and_degenerate(self):
-        perfs = [Tensor(10.0), Tensor(20.0)]
-        ress = [Tensor(1.0), Tensor(2.0)]
-        p, r = CostModel.block_cost(Tensor([0.0, 1.0]), perfs, ress)
-        assert (p.item(), r.item()) == (20.0, 2.0)
-        p, r = CostModel.block_cost(Tensor([1.0]), [Tensor(7.0)], [Tensor(3.0)])
-        assert (p.item(), r.item()) == (7.0, 3.0)
+        perfs = Tensor([[10.0, 20.0]])
+        ress = Tensor([[1.0, 2.0]])
+        p = CostModel.block_costs(Tensor([[0.0, 1.0]]), perfs)
+        r = CostModel.block_costs(Tensor([[0.0, 1.0]]), ress)
+        assert (p.values.tolist(), r.values.tolist()) == ([20.0], [2.0])
+        p = CostModel.block_costs(Tensor([[1.0]]), Tensor([[7.0]]))
+        r = CostModel.block_costs(Tensor([[1.0]]), Tensor([[3.0]]))
+        assert (p.values.tolist(), r.values.tolist()) == ([7.0], [3.0])
 
     def test_uniform_theta_identical_ops(self):
-        perfs = [Tensor(10.0), Tensor(10.0)]
-        ress = [Tensor(1.0), Tensor(1.0)]
-        p, r = CostModel.block_cost(Tensor([0.5, 0.5]), perfs, ress)
-        assert p.item() == 10.0 and r.item() == 1.0
+        perfs = Tensor([[10.0, 10.0]])
+        ress = Tensor([[1.0, 1.0]])
+        p = CostModel.block_costs(Tensor([[0.5, 0.5]]), perfs)
+        r = CostModel.block_costs(Tensor([[0.5, 0.5]]), ress)
+        assert p.values.tolist() == [10.0] and r.values.tolist() == [1.0]
 
 
 class TestPerfLoss:
     def test_sum_mode(self):
         cm = CostModel(fpga_space(), DeviceModel.fpga_recursive(900))
-        out = cm.perf_loss([Tensor(1.0), Tensor(2.0), Tensor(3.0)])
+        out = cm.perf_loss(Tensor([1.0, 2.0, 3.0]))
         assert out.item() == 6.0
 
     def test_lse_mode(self):
         cm = CostModel(fpga_space(), DeviceModel.fpga_pipelined(900))
-        out = cm.perf_loss([Tensor(0.0), Tensor(0.0)])
+        out = cm.perf_loss(Tensor([0.0, 0.0]))
         assert out.item() == pytest.approx(math.log(2), abs=1e-12)
 
     def test_lse_bounds(self):
@@ -159,7 +164,7 @@ class TestPerfLoss:
         rng = np.random.default_rng(5)
         for _ in range(100):
             vals = rng.normal(0, 3, 4)
-            out = cm.perf_loss([Tensor(v) for v in vals]).item()
+            out = cm.perf_loss(Tensor(vals)).item()
             assert vals.max() <= out <= vals.max() + math.log(len(vals)) + 1e-12
 
 
@@ -169,25 +174,26 @@ class TestTotalResource:
 
     def test_shared_unused_op_contributes_zero(self):
         cm = CostModel(self.space, DeviceModel.fpga_recursive(900))
-        theta_ws = [Tensor([1.0, 0.0]), Tensor([1.0, 0.0])]
-        phi_ws = [[Tensor([0.0, 1.0])] * 2 for _ in range(2)]
+        theta_ws = Tensor([[1.0, 0.0], [1.0, 0.0]])
+        phi_ws = Tensor(np.tile([0.0, 1.0], (2, 2, 1)))
         pf = Parameter([3.0, 3.0])
-        res = cm.shared_total_resource(theta_ws, phi_ws, pf)
+        res = cm.total_resource(theta_ws, cm.op_costs(phi_ws, pf)[1])
         # op 1 unused: tanh(0) = 0; op 0 used twice: tanh(2) * psi(8) * 8
         assert res.item() == pytest.approx(math.tanh(2.0) * 0.5 * 8.0, rel=1e-12)
 
     def test_shared_weight_one_gives_tanh_one(self):
         cm = CostModel(self.space, DeviceModel.fpga_recursive(900))
-        theta_ws = [Tensor([1.0, 0.0]), Tensor([0.0, 1.0])]
-        phi_ws = [[Tensor([0.0, 1.0])] * 2 for _ in range(2)]
+        theta_ws = Tensor([[1.0, 0.0], [0.0, 1.0]])
+        phi_ws = Tensor(np.tile([0.0, 1.0], (2, 2, 1)))
         pf = Parameter([3.0, 3.0])
-        res = cm.shared_total_resource(theta_ws, phi_ws, pf)
+        res = cm.total_resource(theta_ws, cm.op_costs(phi_ws, pf)[1])
         want = 2 * math.tanh(1.0) * 0.5 * 8.0
         assert res.item() == pytest.approx(want, rel=1e-12)
         assert math.tanh(1.0) == pytest.approx(0.7616, abs=5e-5)
 
     def test_unshared_sums_identical_blocks(self):
-        res = CostModel.unshared_total_resource([Tensor(5.0), Tensor(5.0)])
+        cm = CostModel(self.space, DeviceModel.fpga_pipelined(900))
+        res = cm.total_resource(Tensor([[1.0], [1.0]]), Tensor([[5.0], [5.0]]))
         assert res.item() == 10.0
 
     def test_shared_never_exceeds_unshared_sum(self):
@@ -202,13 +208,10 @@ class TestTotalResource:
             phi.parameters()[0].assign(rng.normal(0, 3, (2, 2, 2)))
             pf = Parameter(rng.uniform(0, 6, 2))
             out = cm.assemble(theta, phi, pf, tau=1.0)
-            theta_ws = [tc.gumbel_softmax(theta[i], 1.0) for i in range(2)]
-            unshared = 0.0
-            for i in range(2):
-                for m in range(2):
-                    w = tc.gumbel_softmax(phi.logits(i, m), 1.0)
-                    _, r = cm.expected_op_cost(i, m, w, pf=pf[m])
-                    unshared += theta_ws[i].values[m] * r.item()
+            theta_ws = tc.gumbel_softmax_rows(theta, 1.0)
+            _, r = cm.op_costs(tc.gumbel_softmax_rows(phi.parameters()[0], 1.0),
+                               pf)
+            unshared = float((theta_ws.values * r.values).sum())
             assert out.resource.item() <= unshared + 1e-9
 
     def test_shared_needs_per_op_layout(self):
@@ -294,6 +297,15 @@ class TestGpuTable:
         again = GpuLatencyTable.from_mapping(table.to_mapping())
         assert again.entries == table.entries
 
+    @pytest.mark.parametrize("kw, named", [
+        (dict(res_ub=math.inf), "res_ub"), (dict(res_ub=math.nan), "res_ub"),
+        (dict(res_ub=0.0), "res_ub"), (dict(res_ub=64.0, pf_max=-1.0), "pf_max"),
+        (dict(res_ub=64.0, pf_max=math.inf), "pf_max")])
+    def test_device_bounds_must_be_finite(self, kw, named):
+        for kind in ("fpga_recursive", "fpga_pipelined"):
+            with pytest.raises(CostError, match=named):
+                DeviceModel(kind=kind, **kw)
+
     def test_fpga_quant_above_16_rejected(self):
         space = fpga_space(quant=QuantLevels((8, 32)))
         with pytest.raises(CostError, match="16"):
@@ -365,3 +377,168 @@ class TestAssembleGradients:
         a = tc.gumbel_softmax(phi.logits(0, 0), 1.0)
         b = tc.gumbel_softmax(phi.logits(1, 1), 1.0)
         assert np.array_equal(a.values, b.values)
+
+
+# -- the array form against the per-(block, op) scalar loop it replaced ---------
+
+def reference_assemble(cm, theta, phi, pf, tau, rng=None):
+    """CostModel.assemble as one scalar expression per (block, op): every
+    weight vector is its own gumbel_softmax call, in the same noise order.
+    Returns (perf_loss, resource, block_perfs_norm)."""
+    space, device = cm.space, cm.device
+    n, m_count = space.num_blocks, space.num_ops
+    bits = space.quant.bit_widths
+    res_vec = Tensor([psi(q) for q in bits])
+    shared_w = None
+    if device.shared_precision:
+        shared_w = tc.gumbel_softmax(phi.logits(0, 0), tau, rng=rng)
+    theta_ws, phi_ws = [], []
+    for i in range(n):
+        theta_ws.append(tc.gumbel_softmax(theta[i], tau, rng=rng))
+        phi_ws.append([shared_w if shared_w is not None
+                       else tc.gumbel_softmax(phi.logits(i, m), tau, rng=rng)
+                       for m in range(m_count)])
+
+    block_perfs, block_ress = [], []
+    for i in range(n):
+        perfs, ress = [], []
+        for m in range(m_count):
+            w = phi_ws[i][m]
+            if device.kind == "gpu_table":
+                lat = Tensor([device.table.lookup(m, q) for q in bits])
+                perfs.append((w * lat).sum())
+                ress.append(Tensor(0.0))
+                continue
+            p = pf[m] if device.pf_layout == "per_op" else pf[(i, m)]
+            lat = Tensor([phi_cal(q) * op_work(space, i, m) for q in bits])
+            perfs.append((w * lat).sum() * tc.pow2(-p))
+            ress.append((w * res_vec).sum() * tc.pow2(p))
+        block_perfs.append((theta_ws[i] * tc.stack(perfs)).sum())
+        block_ress.append((theta_ws[i] * tc.stack(ress)).sum())
+
+    norm = Tensor(cm.perf_norm)
+    block_perfs_n = [p / norm for p in block_perfs]
+    vec = tc.stack(block_perfs_n)
+    agg = tc.log_sum_exp(vec) if device.perf_aggregation == "lse" else vec.sum()
+    perf_loss = agg * Tensor(cm.hyper.alpha)
+
+    resource = None
+    if device.resource_mode == "fixed":
+        resource = Tensor(0.0)
+    elif device.resource_mode == "shared":
+        for m in range(m_count):
+            usage = weighted = None
+            for i in range(n):
+                contrib = theta_ws[i][m] * (phi_ws[i][m] * res_vec).sum()
+                usage = theta_ws[i][m] if usage is None else usage + theta_ws[i][m]
+                weighted = contrib if weighted is None else weighted + contrib
+            ip_res = weighted / (usage + Tensor(1e-300)) * tc.pow2(pf[m])
+            term = tc.tanh(usage) * ip_res
+            resource = term if resource is None else resource + term
+    else:
+        for r in block_ress:
+            resource = r if resource is None else resource + r
+    return perf_loss, resource, [float(p.values) for p in block_perfs_n]
+
+
+def random_cost_model(data, kind, n, m, q):
+    """A CostModel over a random n-block, m-op, q-level space."""
+    draw = data.draw
+    hw = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    down, h, w = [], *hw
+    for i in range(n):
+        if h >= 2 and w >= 2 and draw(st.booleans()):
+            down.append(i + 1)
+            h, w = (h + 1) // 2, (w + 1) // 2
+    bits = sorted(draw(st.sets(st.integers(2, 16), min_size=q, max_size=q)))
+    space = SearchSpace(
+        num_blocks=n, kernel_sizes=tuple(range(1, 2 * m, 2)),
+        expansion_ratios=(draw(st.integers(1, 4)),),
+        quant=QuantLevels(tuple(bits)), input_hw=hw,
+        stem_channels=draw(st.integers(1, 16)),
+        channel_plan=tuple(draw(st.integers(1, 16)) for _ in range(n)),
+        downsample_blocks=tuple(down), num_classes=4)
+    if kind == "gpu_table":
+        device = DeviceModel.gpu(reference_gpu_table(space))
+    else:
+        device = DeviceModel(kind=kind, res_ub=draw(st.floats(16.0, 4096.0)))
+    return CostModel(space, device,
+                     CostHyperparams(res_norm=device.default_res_norm))
+
+
+def random_state(cm, seed):
+    """Random theta, phi and pf logits for cm's space and device."""
+    space, device = cm.space, cm.device
+    n, m, q = space.num_blocks, space.num_ops, len(space.quant)
+    rng = np.random.default_rng(seed)
+    theta = Parameter(rng.normal(0, 3, (n, m)))
+    phi = PhiArray(n, m, q, shared_precision=device.shared_precision)
+    phi.parameters()[0].assign(rng.normal(0, 3, phi.parameters()[0].shape))
+    pf = None
+    if device.pf_layout == "per_op":
+        pf = Parameter(rng.uniform(0, 10, m))
+    elif device.pf_layout == "per_block_op":
+        pf = Parameter(rng.uniform(0, 10, (n, m)))
+    params = [theta] + phi.parameters() + ([pf] if pf is not None else [])
+    return theta, phi, pf, params, float(rng.uniform(0.1, 5.0))
+
+
+class TestArrayAssembleMatchesScalarLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(DEVICE_KINDS),
+           n=st.integers(1, 9), m=st.integers(1, 12), q=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1), noisy=st.booleans())
+    def test_values_gradients_and_noise(self, data, kind, n, m, q, seed, noisy):
+        cm = random_cost_model(data, kind, n, m, q)
+        theta, phi, pf, params, tau = random_state(cm, seed)
+        cm.initial_perf_norm(None if pf is None else pf.values)
+
+        def run(fn, output):
+            """(outputs, gradients of `output`, next draw) of one call."""
+            rng = np.random.default_rng(seed) if noisy else None
+            for p in params:
+                p.zero_grad()
+            with Tape() as tape:
+                outs = fn(cm, theta, phi, pf, tau, rng=rng)
+                tape.backward(outs[output])
+            return (outs, [p.grad.copy() for p in params],
+                    None if rng is None else rng.random())
+
+        def array_fn(*args, **kw):
+            out = CostModel.assemble(*args, **kw)
+            return out.perf_loss, out.resource, out.block_perfs_norm
+
+        for output in (0, 1):
+            (perf, res, norms), grads, after = run(array_fn, output)
+            (perf_r, res_r, norms_r), grads_r, after_r = run(
+                reference_assemble, output)
+            assert perf.item() == perf_r.item()
+            assert norms == norms_r
+            assert res.item() == pytest.approx(res_r.item(), rel=1e-14, abs=0)
+            assert after == after_r
+            # gradients accumulate in another order: compare at the scale of
+            # the largest entry, since entries whose true value is zero carry
+            # different rounding noise
+            scale = max(np.abs(g_r).max() for g_r in grads_r)
+            for g, g_r in zip(grads, grads_r):
+                assert np.abs(g - g_r).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", DEVICE_KINDS)
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_tape_length_independent_of_space_size(self, kind, noisy):
+        lengths = []
+        for n, m in ((1, 1), (9, 12)):
+            space = SearchSpace(
+                num_blocks=n, kernel_sizes=tuple(range(1, 2 * m, 2)),
+                expansion_ratios=(2,), quant=QuantLevels((4, 8, 16)),
+                input_hw=(8, 8), channel_plan=(8,) * n, downsample_blocks=(),
+                num_classes=4)
+            device = (DeviceModel.gpu(reference_gpu_table(space))
+                      if kind == "gpu_table" else DeviceModel(kind, res_ub=900.0))
+            cm = CostModel(space, device)
+            theta, phi, pf, _, tau = random_state(cm, 0)
+            with Tape() as tape:
+                cm.assemble(theta, phi, pf, tau,
+                            rng=np.random.default_rng(0) if noisy else None)
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1] <= 28

@@ -13,14 +13,15 @@ from cosearch import data as datamod
 from cosearch import search
 from cosearch import tensorcore as tc
 from cosearch.costmodel import (CostHyperparams, CostModel, DeviceModel,
-                                GpuLatencyTable, reference_gpu_table)
+                                GpuLatencyTable, op_work, phi_cal, psi,
+                                reference_gpu_table)
 from cosearch.search import (DerivedDesign, InfeasibleError, SearchAbort,
                              SearchConfig, SearchError, bilevel_step,
                              config_hash, derive_architecture,
                              initial_parallel_factors, initialize,
                              retune_parallel_factors, run_search)
 from cosearch.supernet import QuantLevels, SearchSpace
-from cosearch.tensorcore import NonFiniteError
+from cosearch.tensorcore import NonFiniteError, Parameter, Tape, Tensor
 
 
 def small_space(**kw):
@@ -335,6 +336,106 @@ class TestRetune:
         design = DerivedDesign("fpga_pipelined", [0, 1], [16, 16], [5, 5], False)
         tuned = retune_parallel_factors(design, space, device, hyper, perf_norm)
         assert tuned.predicted["resource"] <= 12.0
+
+
+def reference_retune(design, space, device, hyper, perf_norm, steps, lr):
+    """retune_parallel_factors with its objective built one scalar per block
+    and per IP; returns the tuned integer parallel factors per block."""
+    n = space.num_blocks
+    ops, bits = design.op_indices, design.bit_widths
+    if device.kind == "fpga_recursive":
+        var_ops = sorted(set(ops))
+        var_of_block = [var_ops.index(m) for m in ops]
+        var_psi = [max(psi(bits[i]) for i in range(n) if ops[i] == m)
+                   for m in var_ops]
+        start = [float(design.parallel_factors[ops.index(m)]) for m in var_ops]
+    else:
+        var_of_block = list(range(n))
+        var_psi = [psi(bits[i]) for i in range(n)]
+        start = [float(p) for p in design.parallel_factors]
+    lat_consts = [phi_cal(bits[i]) * op_work(space, i, ops[i]) / perf_norm
+                  for i in range(n)]
+    cm = CostModel(space, device, hyper)
+    pf = Parameter(np.asarray(start))
+    opt = search.Adam([pf], lr=lr)
+    for _ in range(steps):
+        opt.zero_grad()
+        with Tape() as tape:
+            vec = tc.stack([Tensor(lat_consts[i]) * tc.pow2(-pf[var_of_block[i]])
+                            for i in range(n)])
+            agg = (tc.log_sum_exp(vec) if device.perf_aggregation == "lse"
+                   else vec.sum())
+            res = None
+            for v, p_v in enumerate(var_psi):
+                term = Tensor(p_v) * tc.pow2(pf[v])
+                res = term if res is None else res + term
+            tape.backward(agg * Tensor(hyper.alpha) + cm.penalty(res))
+        opt.step()
+        pf.assign(np.clip(pf.values, 0.0, device.pf_max))
+
+    ints = np.clip(np.round(pf.values).astype(int), 0,
+                   int(math.floor(device.pf_max)))
+
+    def resource_of(vals):
+        return sum(var_psi[v] * 2.0 ** vals[v] for v in range(len(vals)))
+
+    def aggregate(vals):
+        lats = [lat_consts[i] * perf_norm * 2.0 ** -vals[var_of_block[i]]
+                for i in range(n)]
+        return max(lats) if device.perf_aggregation == "lse" else sum(lats)
+
+    if sum(var_psi) > device.res_ub:
+        raise InfeasibleError("no feasible parallel factors")
+    while resource_of(ints) > device.res_ub:
+        best = None
+        for v in range(len(ints)):
+            if ints[v] <= 0 or var_psi[v] == 0.0:
+                continue
+            trial = ints.copy()
+            trial[v] -= 1
+            regret = aggregate(trial) - aggregate(ints)
+            if best is None or regret < best[0] - 1e-15:
+                best = (regret, v)
+        if best is None:
+            raise InfeasibleError("cannot repair parallel factors")
+        ints[best[1]] -= 1
+    return [int(ints[var_of_block[i]]) for i in range(n)]
+
+
+class TestRetuneMatchesScalarObjective:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("fpga_recursive",
+                                                 "fpga_pipelined")),
+           n=st.integers(1, 9), m=st.integers(1, 6))
+    def test_same_integer_parallel_factors(self, data, kind, n, m):
+        draw = data.draw
+        bits = sorted(draw(st.sets(st.integers(2, 16), min_size=1, max_size=4)))
+        space = small_space(num_blocks=n, kernel_sizes=tuple(range(1, 2 * m, 2)),
+                            quant=QuantLevels(tuple(bits)),
+                            channel_plan=(8,) * n, downsample_blocks=())
+        res_ub = draw(st.floats(1.0, 4096.0))
+        device = DeviceModel(kind=kind, res_ub=res_ub)
+        hyper = CostHyperparams(res_norm=res_ub)
+        ops = [draw(st.integers(0, m - 1)) for _ in range(n)]
+        design = DerivedDesign(
+            kind, ops, [draw(st.sampled_from(bits)) for _ in range(n)],
+            [draw(st.integers(0, int(device.pf_max))) for _ in range(n)], False)
+        if kind == "fpga_recursive":  # one pf per shared IP
+            design.parallel_factors = [design.parallel_factors[ops.index(o)]
+                                       for o in ops]
+        perf_norm = draw(st.floats(1.0, 1e6))
+        steps, lr = draw(st.integers(1, 150)), draw(st.floats(0.005, 0.2))
+        try:
+            want = reference_retune(design, space, device, hyper, perf_norm,
+                                    steps, lr)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                retune_parallel_factors(design, space, device, hyper,
+                                        perf_norm, steps=steps, lr=lr)
+            return
+        tuned = retune_parallel_factors(design, space, device, hyper,
+                                        perf_norm, steps=steps, lr=lr)
+        assert tuned.parallel_factors == want
 
 
 @st.composite

@@ -161,6 +161,28 @@ class TestGumbelSoftmax:
         with pytest.raises(ValueError, match="tau"):
             tc.gumbel_softmax(Tensor([0.0, 1.0]), tau=0.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1), noisy=st.booleans())
+    def test_rows_equal_per_row_vector_calls(self, shape, seed, noisy):
+        # one draw of all uniforms equals one draw per row, in row order
+        values = np.random.default_rng(seed).normal(0, 3, shape)
+        coeff = np.random.default_rng(seed + 1).normal(size=shape)
+        tau = float(np.random.default_rng(seed + 2).uniform(0.1, 5.0))
+        u = np.random.default_rng(seed).random(shape) if noisy else None
+        logits = Parameter(values)
+        with Tape() as tape:
+            out = tc.gumbel_softmax_rows(logits, tau, u)
+            tape.backward((out * Tensor(coeff)).sum())
+        rng = np.random.default_rng(seed) if noisy else None
+        for row in np.ndindex(*shape[:-1]):
+            vec = Parameter(values[row])
+            with Tape() as tape:
+                got = tc.gumbel_softmax(vec, tau, rng=rng)
+                tape.backward((got * Tensor(coeff[row])).sum())
+            assert np.array_equal(got.values, out.values[row])
+            assert np.array_equal(vec.grad, logits.grad[row])
+
     def test_straight_through_gradient_flows(self):
         logits = Parameter([0.3, -0.2, 0.9])
         rng = np.random.default_rng(3)
@@ -195,7 +217,7 @@ class TestFiniteDiff:
 
     PRIMITIVES = ["add", "sub", "mul", "div", "exp", "log", "tanh", "relu",
                   "pow2", "matmul", "conv", "dwconv", "affine", "gap",
-                  "xent", "softmax", "lse", "take", "stack"] \
+                  "xent", "softmax", "lse", "take", "stack", "sum_axis"] \
         + list(CONSTANT_INPUT)
 
     @pytest.mark.parametrize("name", PRIMITIVES)
@@ -259,6 +281,11 @@ class TestFiniteDiff:
             return tc.finite_diff_check(lambda: (tc.log(b) * mix).sum(), [b])
         if name == "tanh":
             return tc.finite_diff_check(lambda: (tc.tanh(a) * mix).sum(), [a])
+        if name == "sum_axis":
+            x = Parameter(rng.normal(size=(2, 3, 4)))
+            axis = int(rng.integers(-3, 3))
+            m2 = Tensor(rng.normal(size=np.delete((2, 3, 4), axis)))
+            return tc.finite_diff_check(lambda: (x.sum(axis) * m2).sum(), [x])
         if name == "relu":
             # keep values away from the kink
             shift = Tensor(np.where(np.abs(a.values) < 0.05, 0.2, 0.0))
