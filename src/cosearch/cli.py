@@ -447,16 +447,15 @@ def _parse_seeds(args):
 def cmd_search(args) -> int:
     doc = load_config_file(args.config)
     seeds = _parse_seeds(args)
+    # a config error must leave no output directory behind
+    config0 = build_search_config(doc, seed=seeds[0], device_kind=args.device)
     out = _out_dir(doc, args.output)
-    dataset = None
-    results = []
+    dataset = datamod.generate_dataset(config0.data)
 
     def one(seed):
         config = build_search_config(doc, seed=seed, device_kind=args.device)
         return config, run_search(config, dataset=dataset)
 
-    configs0 = build_search_config(doc, seed=seeds[0], device_kind=args.device)
-    dataset = datamod.generate_dataset(configs0.data)
     if args.workers > 1 and len(seeds) > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(one, seeds))

@@ -246,7 +246,12 @@ class CostOutputs:
 
 
 class CostModel:
-    """Bound to one search space + device; holds the perf normalizer."""
+    """Bound to one search space + device; holds the perf normalizer.
+
+    `terms` turns op and bit-width weights into pf-free cost terms and
+    `apply_pf` brings in the parallel factors: a relaxed sample, the uniform
+    start and a discrete design (`vertex_weights`) all take this one path.
+    """
 
     def __init__(self, space: SearchSpace, device: DeviceModel,
                  hyper: CostHyperparams = None):
@@ -254,75 +259,95 @@ class CostModel:
         self.device = device
         self.hyper = hyper if hyper is not None else CostHyperparams()
         self.perf_norm = 1.0
-        if device.kind != "gpu_table":
-            bad = [q for q in space.quant.bit_widths if q > 16]
+        n, m, bits = space.num_blocks, space.num_ops, space.quant.bit_widths
+        self._pf_shape = {"per_op": (m,), "per_block_op": (n, m)}.get(
+            device.pf_layout)
+        # N x M x Q per-level latencies
+        if device.kind == "gpu_table":
+            device.table.validate(m, bits)
+            lat = [[device.table.lookup(j, q) for q in bits] for j in range(m)]
+        else:
+            bad = [q for q in bits if q > 16]
             if bad:
                 raise CostError(f"FPGA resource model is undefined above "
                                 f"16-bit, got {bad}")
-        else:
-            device.table.validate(space.num_ops, space.quant.bit_widths)
-        self._factors = [[op_work(space, i, m) for m in range(space.num_ops)]
-                         for i in range(space.num_blocks)]
-        # N x M x Q per-level latencies, and DSPs per unit of parallelism
-        bits = space.quant.bit_widths
-        shape = (space.num_blocks, space.num_ops, len(bits))
-        if device.kind == "gpu_table":
-            lat = [[device.table.lookup(m, q) for q in bits]
-                   for m in range(space.num_ops)]
-        else:
-            lat = [[[phi_cal(q) * f for q in bits] for f in row]
-                   for row in self._factors]
-            self._psi = Tensor(np.broadcast_to([psi(q) for q in bits], shape))
-        self._lat = Tensor(np.broadcast_to(lat, shape))
+            lat = [[[phi_cal(q) * op_work(space, i, j) for q in bits]
+                    for j in range(m)] for i in range(n)]
+            levels = [psi(q) for q in bits]
+            self._psi = Tensor(levels)  # DSPs per unit of parallelism
+            # psi steps between levels; [j >= k] at [k, 0, 0, j], so that
+            # summing weights against it gives P(width >= q_k), level-first
+            self._psi_steps = Tensor(np.diff(levels, prepend=0.0)[:, None])
+            self._at_least = Tensor(np.triu(np.ones((len(bits),) * 2))[:, None, None])
+        self._lat = Tensor(np.broadcast_to(lat, (n, m, len(bits))))
 
-    # -- expectations over the sampling weights -------------------------------
+    # -- the pf-free half: expectations over the sampling weights -------------
 
-    def op_costs(self, phi_w, pf=None):
-        """Expected (latency, resource) of every op under bit-width weights.
+    def terms(self, theta_w, phi_w):
+        """(latency, resource) terms before 2^-pf and 2^pf, from N x M op
+        weights and bit-width weights (N x M x Q, or one shared Q-vector).
 
-        phi_w is N x M x Q, or one Q-vector shared by every op; pf follows
-        the device's pf layout.  Latency scales with 2^-pf and resource with
-        2^pf; both come out N x M, and the GPU resource is None (fixed).
+        Latency and the pipelined resource are expected per (block, op);
+        the GPU has no resource term.  A recursive IP is shared by all
+        blocks and sized for its widest user: its term is that user's
+        expected psi under independent blocks, max psi at a vertex and at
+        most the unshared sum anywhere (union bound; psi grows with q).
         """
-        if self.device.kind == "gpu_table":
-            return (phi_w * self._lat).sum(axis=-1), None
-        lat = (phi_w * self._lat).sum(axis=-1) * tc.pow2(-pf)
-        return lat, (phi_w * self._psi).sum(axis=-1) * tc.pow2(pf)
+        lat = (phi_w * self._lat).sum(axis=-1)
+        mode = self.device.resource_mode
+        if mode == "fixed":
+            return lat, None
+        if mode == "unshared":
+            return lat, (phi_w * self._psi).sum(axis=-1)
+        at_least = (phi_w * self._at_least).sum(axis=-1)  # Q x N x M
+        idle = tc.prod(Tensor(1.0) - theta_w * at_least, axis=1)  # Q x M
+        return lat, ((Tensor(1.0) - idle) * self._psi_steps).sum(axis=0)
+
+    def vertex_weights(self, ops, bits):
+        """One-hot (op, bit-width) weights of a discrete design; a block's
+        bit-width applies to its whole candidate row."""
+        n, m = self.space.num_blocks, self.space.num_ops
+        levels = self.space.quant.bit_widths
+        theta = np.zeros((n, m))
+        theta[np.arange(n), ops] = 1.0
+        phi = np.zeros((n, m, len(levels)))
+        phi[np.arange(n), :, [levels.index(b) for b in bits]] = 1.0
+        return Tensor(theta), Tensor(phi)
+
+    # -- the pf half: parallelism and network-level aggregation ----------------
+
+    def apply_pf(self, theta_w, terms, pf) -> CostOutputs:
+        """Perf loss and resource of `terms` at parallel factors `pf` in
+        the device's pf layout (None on the GPU)."""
+        lat, res = terms
+        if pf is not None:
+            lat = lat * tc.pow2(-pf)
+        block_perfs_n = self.block_costs(theta_w, lat) / Tensor(self.perf_norm)
+        mode = self.device.resource_mode
+        if mode == "fixed":
+            resource = Tensor(0.0)
+        elif mode == "unshared":
+            resource = self.block_costs(theta_w, res * tc.pow2(pf)).sum()
+        else:
+            resource = (res * tc.pow2(pf)).sum()
+        return CostOutputs(perf_loss=self.perf_loss(block_perfs_n),
+                           resource=resource,
+                           block_perfs_norm=block_perfs_n.values.tolist())
 
     @staticmethod
     def block_costs(theta_w, op_costs):
         """Op-weight expectation of an N x M cost array: one value per block."""
         return (theta_w * op_costs).sum(axis=-1)
 
-    # -- network-level aggregation ---------------------------------------------
+    def _aggregate(self, block_perfs) -> Tensor:
+        if self.device.perf_aggregation == "lse":
+            return tc.log_sum_exp(block_perfs)
+        return block_perfs.sum()
 
     def perf_loss(self, block_perfs) -> Tensor:
         """alpha-scaled sum (latency target) or log-sum-exp (throughput) of
         the block-perf vector."""
-        if self.device.perf_aggregation == "lse":
-            agg = tc.log_sum_exp(block_perfs)
-        else:
-            agg = block_perfs.sum()
-        return agg * Tensor(self.hyper.alpha)
-
-    def total_resource(self, theta_w, op_res) -> Tensor:
-        """Network resource from N x M op weights and op resources.
-
-        Pipelined: every (block, op) IP is its own, so the block sum.
-        Recursive: one IP per op, counted once through a tanh usage gate on
-        its summed selection weight u; the IP's resource is its users'
-        selection-weighted mean, so tanh(u)/u <= 1 keeps the shared total
-        at or below the unshared sum on any state.
-        """
-        mode = self.device.resource_mode
-        if mode == "fixed":
-            return Tensor(0.0)
-        if mode == "unshared":
-            return self.block_costs(theta_w, op_res).sum()
-        usage = theta_w.sum(axis=0)
-        # the epsilon only matters at usage == 0.0, where the limit is 0
-        ip_res = (theta_w * op_res).sum(axis=0) / (usage + Tensor(1e-300))
-        return (tc.tanh(usage) * ip_res).sum()
+        return self._aggregate(block_perfs) * Tensor(self.hyper.alpha)
 
     def penalty(self, resource: Tensor) -> Tensor:
         """beta * C^((RES - RES_ub)/res_norm); zero when resource is fixed."""
@@ -358,51 +383,53 @@ class CostModel:
             u_theta, u_phi = u[:, :m], u[:, m:].reshape(n, m, q)
         theta_w = tc.gumbel_softmax_rows(theta, tau, u_theta)
         phi_w = tc.gumbel_softmax_rows(phi_logits, tau, u_phi)
-
-        op_lat, op_res = self.op_costs(phi_w, pf)
-        block_perfs_n = self.block_costs(theta_w, op_lat) / Tensor(self.perf_norm)
-        return CostOutputs(perf_loss=self.perf_loss(block_perfs_n),
-                           resource=self.total_resource(theta_w, op_res),
-                           block_perfs_norm=block_perfs_n.values.tolist())
+        return self.apply_pf(theta_w, self.terms(theta_w, phi_w), pf)
 
     def _check_pf(self, pf):
-        layout = self.device.pf_layout
-        if layout is None:
-            if pf is not None:
-                raise CostError("gpu_table device takes no parallel factors")
-            return
-        if pf is None:
-            raise CostError(f"{self.device.kind} needs parallel factors")
-        want = ((self.space.num_ops,) if layout == "per_op"
-                else (self.space.num_blocks, self.space.num_ops))
-        if pf.values.shape != want:
-            raise CostError(f"{self.device.kind} expects pf shape {want}, "
-                            f"got {pf.values.shape}")
+        got = None if pf is None else pf.values.shape
+        if got != self._pf_shape:
+            raise CostError(f"{self.device.kind} expects pf shape "
+                            f"{self._pf_shape}, got {got}")
+
+    # -- parallel-factor layout --------------------------------------------------
+
+    def pf_index(self, ops):
+        """Index of each block's parallel factor in the device's pf layout
+        (pf[index] lists them per block); None on the GPU."""
+        if self._pf_shape is None:
+            return None
+        ops = np.asarray(ops, dtype=int)
+        return ops if len(self._pf_shape) == 1 else (np.arange(ops.size), ops)
+
+    def layout_pfs(self, ops, pfs):
+        """A design's per-block parallel factors in the device's pf layout,
+        0 for unused IPs; the users of a shared IP must agree on it."""
+        index = self.pf_index(ops)
+        if index is None:
+            return None
+        pfs = np.asarray(pfs, dtype=float)
+        if pfs.shape != (len(ops),):
+            raise CostError(f"design has {pfs.size} parallel factors for "
+                            f"{len(ops)} blocks")
+        out = np.zeros(self._pf_shape)
+        out[index] = pfs
+        bad = np.flatnonzero(out[index] != pfs)
+        if bad.size:
+            i = bad[0]
+            raise CostError(f"block {i}: parallel factor {pfs[i]:g} for op "
+                            f"{ops[i]}, whose shared IP runs at "
+                            f"{out[index][i]:g} for another block")
+        return out
 
     # -- normalizer -----------------------------------------------------------
 
     def initial_perf_norm(self, pf0=None) -> float:
         """Aggregate performance of the uniform-weights starting point;
         stored and used to scale block perfs into accuracy-loss range."""
-        space = self.space
-        bits = space.quant.bit_widths
-        perfs = []
-        for i in range(space.num_blocks):
-            acc = 0.0
-            for m in range(space.num_ops):
-                if self.device.kind == "gpu_table":
-                    per_q = [self.device.table.lookup(m, q) for q in bits]
-                    mean_q = sum(per_q) / len(per_q)
-                else:
-                    pf_val = float(pf0[m] if np.ndim(pf0) == 1 else pf0[i][m])
-                    mean_q = (sum(phi_cal(q) for q in bits) / len(bits)
-                              * self._factors[i][m] * 2.0 ** (-pf_val))
-                acc += mean_q / space.num_ops
-            perfs.append(acc)
-        if self.device.perf_aggregation == "lse":
-            mx = max(perfs)
-            norm = mx + math.log(sum(math.exp(p - mx) for p in perfs))
-        else:
-            norm = sum(perfs)
-        self.perf_norm = float(norm)
+        n, m, q = self.space.num_blocks, self.space.num_ops, len(self.space.quant)
+        theta_w = Tensor(np.full((n, m), 1.0 / m))
+        terms = self.terms(theta_w, Tensor(np.full(q, 1.0 / q)))
+        self.perf_norm = 1.0
+        out = self.apply_pf(theta_w, terms, None if pf0 is None else Tensor(pf0))
+        self.perf_norm = self._aggregate(Tensor(out.block_perfs_norm)).item()
         return self.perf_norm

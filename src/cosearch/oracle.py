@@ -146,10 +146,9 @@ def exact_vertex_costs(space: SearchSpace, device: DeviceModel,
         resource = 0.0
         for m_idx in range(space.num_ops):
             users = [i for i in range(n) if op_indices[i] == m_idx]
-            if users:
-                ip_dsp = sum(_dsp_scale(bit_widths[i]) for i in users) / len(users)
-                resource += math.tanh(float(len(users))) * ip_dsp \
-                    * 2.0 ** float(pfs[m_idx])
+            if users:  # one IP, sized for its widest user
+                ip_dsp = max(_dsp_scale(bit_widths[i]) for i in users)
+                resource += ip_dsp * 2.0 ** float(pfs[m_idx])
     else:
         resource = sum(
             _dsp_scale(bit_widths[i]) * 2.0 ** float(pfs[i, op_indices[i]])
@@ -208,32 +207,18 @@ def evaluate_config_exact(config: SearchConfig, protocol: OracleProtocol,
         tuned = DiscreteConfig(discrete.op_indices, discrete.bit_widths)
         pfs = None
     else:
-        pf0 = initial_parallel_factors(device, space)
-        if device.kind == "fpga_recursive":
-            start = [int(round(pf0[m])) for m in discrete.op_indices]
-        else:
-            start = [int(round(pf0[i, m]))
-                     for i, m in enumerate(discrete.op_indices)]
-        seed_design = DerivedDesign(
-            device_kind=device.kind,
-            op_indices=list(discrete.op_indices),
-            bit_widths=list(discrete.bit_widths),
-            parallel_factors=start,
-            shared_precision=device.shared_precision,
-        )
+        ops = list(discrete.op_indices)
+        layout = CostModel(space, device, hyper)
+        pf0 = initial_parallel_factors(device, space)[layout.pf_index(ops)]
+        seed_design = DerivedDesign(device.kind, ops, list(discrete.bit_widths),
+                                    np.rint(pf0).astype(int).tolist(),
+                                    device.shared_precision)
         retuned = retune_parallel_factors(
             seed_design, space, device, hyper, perf_norm,
             steps=protocol.retune_steps, lr=protocol.retune_lr)
         tuned = DiscreteConfig(discrete.op_indices, discrete.bit_widths,
                                tuple(retuned.parallel_factors))
-        if device.kind == "fpga_recursive":
-            pfs = np.zeros(space.num_ops)
-            for i, m in enumerate(discrete.op_indices):
-                pfs[m] = retuned.parallel_factors[i]
-        else:
-            pfs = np.zeros((space.num_blocks, space.num_ops))
-            for i, m in enumerate(discrete.op_indices):
-                pfs[i, m] = retuned.parallel_factors[i]
+        pfs = layout.layout_pfs(ops, retuned.parallel_factors)
 
     perf_loss, resource, penalty = exact_vertex_costs(
         space, device, hyper, perf_norm, discrete.op_indices,

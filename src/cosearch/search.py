@@ -13,15 +13,14 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import data as datamod
 from . import tensorcore as tc
-from .costmodel import (CostHyperparams, CostModel, DeviceModel,
-                        GpuLatencyTable, op_work, phi_cal, psi)
-from .supernet import SearchSpace, Supernet
+from .costmodel import CostHyperparams, CostModel, DeviceModel, GpuLatencyTable
+from .supernet import QuantLevels, SearchSpace, Supernet
 from .tensorcore import NonFiniteError, Parameter, Tape, Tensor
 
 
@@ -256,37 +255,32 @@ class DerivedDesign:
         return self.bit_widths[0] if self.shared_precision else None
 
 
+def _vertex_model(space, device, hyper, bits):
+    """A cost model over `space` whose bit-width levels include every width
+    of a design; library callers may pass widths the space does not list."""
+    levels = tuple(sorted(set(space.quant.bit_widths) | set(bits)))
+    return CostModel(replace(space, quant=QuantLevels(levels)), device, hyper)
+
+
 def predict_discrete(space, device, ops, bits, pfs):
-    """Exact (no sampling-weight) metrics of a discrete design."""
-    n = space.num_blocks
-    if device.kind == "gpu_table":
-        lats = [device.table.lookup(ops[i], bits[i]) for i in range(n)]
-        return {
-            "block_latencies": lats,
-            "latency_total": float(sum(lats)),
-            "latency_bottleneck": float(max(lats)),
-            "resource": 0.0,
-            "resource_bound": None,
-        }
-    lats = [phi_cal(bits[i]) * op_work(space, i, ops[i]) * 2.0 ** -pfs[i]
-            for i in range(n)]
-    if device.kind == "fpga_recursive":
-        res = 0.0
-        for m in sorted(set(ops)):
-            users = [i for i in range(n) if ops[i] == m]
-            res += max(psi(bits[i]) for i in users) * 2.0 ** pfs[users[0]]
-    else:
-        res = sum(psi(bits[i]) * 2.0 ** pfs[i] for i in range(n))
-    out = {
+    """Exact metrics of a discrete design: the cost model at its one-hot
+    weights, with perf_norm 1 so that block perfs are latencies."""
+    cm = _vertex_model(space, device, None, bits)
+    theta_w, phi_w = cm.vertex_weights(ops, bits)
+    pf = cm.layout_pfs(ops, pfs)
+    out = cm.apply_pf(theta_w, cm.terms(theta_w, phi_w),
+                      None if pf is None else Tensor(pf))
+    lats = out.block_perfs_norm
+    result = {
         "block_latencies": lats,
         "latency_total": float(sum(lats)),
         "latency_bottleneck": float(max(lats)),
-        "resource": float(res),
-        "resource_bound": float(device.res_ub),
+        "resource": out.resource.item(),
+        "resource_bound": None if pf is None else float(device.res_ub),
     }
     if device.kind == "fpga_pipelined":
-        out["throughput"] = 1.0 / float(max(lats))
-    return out
+        result["throughput"] = 1.0 / float(max(lats))
+    return result
 
 
 def derive_architecture(state: SearchState) -> DerivedDesign:
@@ -296,13 +290,10 @@ def derive_architecture(state: SearchState) -> DerivedDesign:
     ops = [int(np.argmax(net.theta.values[i])) for i in range(space.num_blocks)]
     bits = [space.quant.bit_widths[net.phi.argmax(i, ops[i])]
             for i in range(space.num_blocks)]
-    if device.kind == "gpu_table":
-        pfs = None
-    elif device.kind == "fpga_recursive":
-        pfs = [int(round(state.pf.values[ops[i]])) for i in range(space.num_blocks)]
-    else:
-        pfs = [int(round(state.pf.values[i, ops[i]]))
-               for i in range(space.num_blocks)]
+    pfs = None
+    if state.pf is not None:
+        index = state.costmodel.pf_index(ops)
+        pfs = np.rint(state.pf.values[index]).astype(int).tolist()
     design = DerivedDesign(
         device_kind=device.kind,
         op_indices=ops,
@@ -319,77 +310,61 @@ def retune_parallel_factors(design: DerivedDesign, space: SearchSpace,
                             perf_norm: float, steps=400, lr=0.03) -> DerivedDesign:
     """Re-optimize the parallel factors of a fixed discrete architecture.
 
-    Continuous descent on performance + penalty, rounding, then a greedy
-    repair that halves the parallelism with the least latency regret until
-    the resource budget holds.
+    The cost terms come once from the design's one-hot weights; each step
+    of the continuous descent on performance + penalty redoes only the pf
+    half, in the device's pf layout (unused IPs get no gradient).  Then
+    rounding, and a greedy repair that lowers the factor with the least
+    latency regret by one until the resource budget holds.
     """
     if device.kind == "gpu_table":
         raise SearchError("parallel factors exist only for FPGA devices")
-    n = space.num_blocks
     ops, bits = design.op_indices, design.bit_widths
-    # variable layout: one pf per used IP (recursive) or per block (pipelined)
-    if device.kind == "fpga_recursive":
-        var_ops = sorted(set(ops))
-        var_of_block = [var_ops.index(m) for m in ops]
-        var_psi = [max(psi(bits[i]) for i in range(n) if ops[i] == m)
-                   for m in var_ops]
-        start = [float(design.parallel_factors[ops.index(m)]) for m in var_ops]
-    else:
-        var_of_block = list(range(n))
-        var_psi = [psi(bits[i]) for i in range(n)]
-        start = [float(p) for p in design.parallel_factors]
-    lat_consts = [phi_cal(bits[i]) * op_work(space, i, ops[i]) / perf_norm
-                  for i in range(n)]
+    cm = _vertex_model(space, device, hyper, bits)
+    cm.perf_norm = perf_norm
+    theta_w, phi_w = cm.vertex_weights(ops, bits)
+    terms = cm.terms(theta_w, phi_w)
+    start = cm.layout_pfs(ops, design.parallel_factors)
 
-    cm = CostModel(space, device, hyper)
-    lat_vec, psi_vec = Tensor(lat_consts), Tensor(var_psi)
-    pf = Parameter(np.asarray(start))
+    floor = cm.apply_pf(theta_w, terms, Tensor(np.zeros_like(start))).resource
+    if floor.item() > device.res_ub:
+        raise InfeasibleError(
+            f"no feasible parallel factors: resource is {floor.item()} even "
+            f"at parallelism 1, bound is {device.res_ub}")
+
+    pf = Parameter(start)
     opt = Adam([pf], lr=lr)
     for _ in range(steps):
         opt.zero_grad()
         with Tape() as tape:
-            perf = cm.perf_loss(lat_vec * tc.pow2(-pf[var_of_block]))
-            res = (psi_vec * tc.pow2(pf)).sum()
-            tape.backward(perf + cm.penalty(res))
+            out = cm.apply_pf(theta_w, terms, pf)
+            tape.backward(out.perf_loss + cm.penalty(out.resource))
         opt.step()
         pf.assign(np.clip(pf.values, 0.0, device.pf_max))
 
-    ints = np.clip(np.round(pf.values).astype(int), 0,
-                   int(math.floor(device.pf_max)))
-
-    def resource_of(vals):
-        return sum(var_psi[v] * 2.0 ** vals[v] for v in range(len(vals)))
-
-    def block_lats(vals):
-        return [lat_consts[i] * perf_norm * 2.0 ** -vals[var_of_block[i]]
-                for i in range(n)]
-
-    floor_res = sum(p_v for p_v in var_psi)  # all pf at 0
-    if floor_res > device.res_ub:
-        raise InfeasibleError(
-            f"no feasible parallel factors: resource is {floor_res} even at "
-            f"parallelism 1, bound is {device.res_ub}")
-
-    def aggregate(lats):
+    def latency(out):  # in cycles; the bottleneck for a throughput target
+        lats = [p * perf_norm for p in out.block_perfs_norm]
         return max(lats) if device.perf_aggregation == "lse" else sum(lats)
 
-    while resource_of(ints) > device.res_ub:
+    ints = np.clip(np.round(pf.values), 0, math.floor(device.pf_max))
+    current = cm.apply_pf(theta_w, terms, Tensor(ints))
+    while current.resource.item() > device.res_ub:
         best = None
-        for v in range(len(ints)):
-            if ints[v] <= 0 or var_psi[v] == 0.0:
-                continue
+        for slot in np.flatnonzero(ints):
             trial = ints.copy()
-            trial[v] -= 1
-            regret = aggregate(block_lats(trial)) - aggregate(block_lats(ints))
+            trial.flat[slot] -= 1
+            out = cm.apply_pf(theta_w, terms, Tensor(trial))
+            if out.resource.item() >= current.resource.item():
+                continue  # a resource-free IP: no help to the budget
+            regret = latency(out) - latency(current)
             if best is None or regret < best[0] - 1e-15:
-                best = (regret, v)
+                best = (regret, trial, out)
         if best is None:
             raise InfeasibleError(
                 f"cannot repair parallel factors below resource bound "
                 f"{device.res_ub}")
-        ints[best[1]] -= 1
+        _, ints, current = best
 
-    pfs = [int(ints[var_of_block[i]]) for i in range(n)]
+    pfs = ints[cm.pf_index(ops)].astype(int).tolist()
     tuned = DerivedDesign(
         device_kind=design.device_kind,
         op_indices=list(ops),

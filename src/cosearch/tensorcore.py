@@ -335,6 +335,19 @@ def total_sum(a, axis=None):
     return _make(a.values.sum(axis=axis), (a,), grad_fn, "sum")
 
 
+def prod(a, axis):
+    """Product over one axis.  Each entry's gradient is the product of
+    the others, from exclusive prefix and suffix products (no division), so
+    it stays exact where entries are 0."""
+    def grad_fn(g):
+        x = np.moveaxis(a.values, axis, 0)
+        before, after = np.ones_like(x), np.ones_like(x)
+        np.cumprod(x[:-1], axis=0, out=before[1:])
+        after[:-1] = np.cumprod(x[:0:-1], axis=0)[::-1]
+        return (np.expand_dims(g, axis) * np.moveaxis(before * after, 0, axis),)
+    return _make(a.values.prod(axis=axis), (a,), grad_fn, "prod")
+
+
 def matmul(a, b):
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise ShapeError(

@@ -125,9 +125,12 @@ class TestCriterion2CostModelExactness:
         space = SearchSpace()
         cm = CostModel(space, DeviceModel.fpga_recursive(900.0))
 
-        def dsps(pf, q):  # one IP at one-hot q-bit weights
-            weights = Tensor([float(b == q) for b in space.quant.bit_widths])
-            return cm.op_costs(weights, Tensor(pf))[1][(0, 0)].item()
+        def dsps(pf, q):  # one shared IP, every block on it at q bits
+            ops, bits = [0] * space.num_blocks, [q] * space.num_blocks
+            theta_w, phi_w = cm.vertex_weights(ops, bits)
+            pfs = Tensor(cm.layout_pfs(ops, [pf] * space.num_blocks))
+            return cm.apply_pf(theta_w, cm.terms(theta_w, phi_w),
+                               pfs).resource.item()
         assert dsps(6.0, 16) == 64.0
         assert dsps(4.0, 8) == 8.0
         assert dsps(9.0, 4) == 0.0
@@ -278,6 +281,7 @@ class TestCriterion6DeviceContracts:
                             downsample_blocks=(2,), num_classes=4)
         cm = CostModel(space, DeviceModel.fpga_recursive(900.0),
                        CostHyperparams(res_norm=900.0))
+        piped = CostModel(space, DeviceModel.fpga_pipelined(900.0))
         rng = np.random.default_rng(1)
         for _ in range(200):
             theta = Parameter(rng.normal(0, 3, (3, 2)))
@@ -286,9 +290,9 @@ class TestCriterion6DeviceContracts:
             pf = Parameter(rng.uniform(0, 8, 2))
             out = cm.assemble(theta, phi, pf, tau=1.0)
             tw = tc.gumbel_softmax_rows(theta, 1.0)
-            _, r = cm.op_costs(tc.gumbel_softmax_rows(phi.parameters()[0], 1.0),
-                               pf)
-            unshared = float((tw.values * r.values).sum())
+            _, r = piped.terms(tw, tc.gumbel_softmax_rows(phi.parameters()[0],
+                                                          1.0))
+            unshared = float((tw.values * r.values * 2.0 ** pf.values).sum())
             assert out.resource.item() <= unshared + 1e-9
         _report("criterion 6c: recursive shared resource never exceeds the "
                 "unshared sum (200 states)", started)

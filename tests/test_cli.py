@@ -178,6 +178,7 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: device: ") and named in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_numerical_abort_exit_code_and_partial_report(self, tmp_path):
         path = tmp_path / "explode.yaml"
@@ -317,6 +318,20 @@ class TestEnumerateEvalCompare:
         cli.write_json(str(bad), doc)
         assert cli.main(["eval", "-c", small_cfg, str(bad)]) == 1
         assert "block 1: bit_width 16" in capsys.readouterr().err
+
+    def test_eval_conflicting_shared_ip_factors_names_block(
+            self, small_cfg, artifacts, tmp_path, capsys):
+        # recursive: both blocks run op 0, so they share one IP
+        _, _, design_path, _ = artifacts
+        doc = cli.read_json(design_path)
+        for block, pf in zip(doc["blocks"], (3, 5)):
+            block["op_index"], block["parallel_factor"] = 0, pf
+        bad = tmp_path / "conflict_design.json"
+        cli.write_json(str(bad), doc)
+        assert cli.main(["eval", "-c", small_cfg, str(bad)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: block 0: parallel factor 3 ")
+        assert "Traceback" not in err
 
 
 class TestDesignDocument:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosearch import oracle as om
 from cosearch import tensorcore as tc
 from cosearch.costmodel import (DEVICE_KINDS, CostError, CostHyperparams,
                                 CostModel, DeviceModel, GpuLatencyTable,
                                 LayerGeom, MissingEntryError, mbconv_layers,
                                 op_work, phi_cal, psi, reference_gpu_table)
+from cosearch.search import predict_discrete
 from cosearch.supernet import PhiArray, QuantLevels, SearchSpace
 from cosearch.tensorcore import Parameter, Tape, Tensor
 
@@ -23,10 +25,14 @@ def fpga_space(**kw):
 
 
 def at_bits(cm, i, m, pf, q):
-    """(latency, resource) of op (i, m) at one-hot q-bit weights."""
-    weights = Tensor([float(b == q) for b in cm.space.quant.bit_widths])
-    perf, res = cm.op_costs(weights, Tensor(pf))
-    return perf[(i, m)].item(), res[(i, m)].item()
+    """(latency of block i, resource) with every block on op m at q bits
+    and parallel factor pf (perf_norm 1)."""
+    n = cm.space.num_blocks
+    ops = [m] * n
+    theta_w, phi_w = cm.vertex_weights(ops, [q] * n)
+    out = cm.apply_pf(theta_w, cm.terms(theta_w, phi_w),
+                      Tensor(cm.layout_pfs(ops, [pf] * n)))
+    return out.block_perfs_norm[i], out.resource.item()
 
 
 class TestCalibration:
@@ -105,13 +111,12 @@ class TestExpectations:
         self.cm = CostModel(self.space, DeviceModel.fpga_recursive(900))
 
     def test_one_hot_selects_single_level(self):
-        perf, res = self.cm.op_costs(Tensor([1.0, 0.0]), Tensor(3.0))
-        assert perf[(0, 0)].item() == \
-            phi_cal(4) * op_work(self.space, 0, 0) * 2.0 ** -3
-        assert res[(0, 0)].item() == psi(4) * 2.0 ** 3
+        perf, res = at_bits(self.cm, 0, 0, 3.0, 4)
+        assert perf == phi_cal(4) * op_work(self.space, 0, 0) * 2.0 ** -3
+        assert res == psi(4) * 2.0 ** 3
 
     def test_uniform_weights_average(self):
-        perf, _ = self.cm.op_costs(Tensor([0.5, 0.5]), Tensor(0.0))
+        perf, _ = self.cm.terms(Tensor(np.eye(2)), Tensor([0.5, 0.5]))
         a = at_bits(self.cm, 0, 0, 0.0, 4)[0]
         b = at_bits(self.cm, 0, 0, 0.0, 8)[0]
         assert perf[(0, 0)].item() == pytest.approx((a + b) / 2, rel=1e-15)
@@ -124,10 +129,11 @@ class TestExpectations:
 
     def test_phi_gradient_matches_finite_difference(self):
         phi = Parameter([0.3, -0.4])
+        theta_w = Tensor([[0.0, 1.0], [0.0, 1.0]])
         def loss():
-            w = tc.softmax(phi)
-            perf, res = self.cm.op_costs(w, Tensor(2.0))
-            return perf[(0, 1)] * Tensor(1e-4) + res[(0, 1)]
+            terms = self.cm.terms(theta_w, tc.softmax(phi))
+            out = self.cm.apply_pf(theta_w, terms, Tensor([2.0, 2.0]))
+            return out.perf_loss * Tensor(1e-4) + out.resource
         assert tc.finite_diff_check(loss, [phi]) < 1e-4
 
     def test_block_cost_one_hot_and_degenerate(self):
@@ -172,36 +178,48 @@ class TestTotalResource:
     def setup_method(self):
         self.space = fpga_space()
 
+    @staticmethod
+    def resource(cm, theta_ws, phi_ws, pf):
+        return cm.apply_pf(theta_ws, cm.terms(theta_ws, phi_ws), pf).resource
+
     def test_shared_unused_op_contributes_zero(self):
         cm = CostModel(self.space, DeviceModel.fpga_recursive(900))
         theta_ws = Tensor([[1.0, 0.0], [1.0, 0.0]])
         phi_ws = Tensor(np.tile([0.0, 1.0], (2, 2, 1)))
-        pf = Parameter([3.0, 3.0])
-        res = cm.total_resource(theta_ws, cm.op_costs(phi_ws, pf)[1])
-        # op 1 unused: tanh(0) = 0; op 0 used twice: tanh(2) * psi(8) * 8
-        assert res.item() == pytest.approx(math.tanh(2.0) * 0.5 * 8.0, rel=1e-12)
+        res = self.resource(cm, theta_ws, phi_ws, Parameter([3.0, 3.0]))
+        # op 1 unused: 0; op 0 used twice: one IP, psi(8) * 2^3
+        assert res.item() == 0.5 * 8.0
 
-    def test_shared_weight_one_gives_tanh_one(self):
+    def test_shared_single_users_cost_their_own_ips(self):
         cm = CostModel(self.space, DeviceModel.fpga_recursive(900))
         theta_ws = Tensor([[1.0, 0.0], [0.0, 1.0]])
         phi_ws = Tensor(np.tile([0.0, 1.0], (2, 2, 1)))
-        pf = Parameter([3.0, 3.0])
-        res = cm.total_resource(theta_ws, cm.op_costs(phi_ws, pf)[1])
-        want = 2 * math.tanh(1.0) * 0.5 * 8.0
-        assert res.item() == pytest.approx(want, rel=1e-12)
-        assert math.tanh(1.0) == pytest.approx(0.7616, abs=5e-5)
+        res = self.resource(cm, theta_ws, phi_ws, Parameter([3.0, 3.0]))
+        assert res.item() == 2 * 0.5 * 8.0
+
+    def test_shared_ip_sized_for_widest_user(self):
+        space = fpga_space(quant=QuantLevels((4, 8, 16)))
+        cm = CostModel(space, DeviceModel.fpga_recursive(900))
+        theta_ws = Tensor([[1.0, 0.0], [1.0, 0.0]])
+        for bits, dsps in (((16, 4), 1.0), ((8, 16), 1.0), ((4, 8), 0.5),
+                           ((4, 4), 0.0)):
+            _, phi_ws = cm.vertex_weights([0, 0], bits)
+            res = self.resource(cm, theta_ws, phi_ws, Parameter([6.0, 2.0]))
+            assert res.item() == dsps * 64.0
 
     def test_unshared_sums_identical_blocks(self):
         cm = CostModel(self.space, DeviceModel.fpga_pipelined(900))
-        res = cm.total_resource(Tensor([[1.0], [1.0]]), Tensor([[5.0], [5.0]]))
-        assert res.item() == 10.0
+        terms = (Tensor([[0.0], [0.0]]), Tensor([[5.0], [5.0]]))
+        out = cm.apply_pf(Tensor([[1.0], [1.0]]), terms, Tensor([[0.0], [0.0]]))
+        assert out.resource.item() == 10.0
 
     def test_shared_never_exceeds_unshared_sum(self):
-        # tanh(u)/u <= 1, so the gated shared total is bounded by the plain
-        # unshared block sum on the same state
+        # psi grows with the bit-width, so by the union bound the widest-user
+        # total is bounded by the plain unshared block sum on the same state
         space = fpga_space()
         rng = np.random.default_rng(7)
         cm = CostModel(space, DeviceModel.fpga_recursive(900))
+        piped = CostModel(space, DeviceModel.fpga_pipelined(900))
         for _ in range(100):
             theta = Parameter(rng.normal(0, 3, (2, 2)))
             phi = PhiArray(2, 2, 2)
@@ -209,9 +227,10 @@ class TestTotalResource:
             pf = Parameter(rng.uniform(0, 6, 2))
             out = cm.assemble(theta, phi, pf, tau=1.0)
             theta_ws = tc.gumbel_softmax_rows(theta, 1.0)
-            _, r = cm.op_costs(tc.gumbel_softmax_rows(phi.parameters()[0], 1.0),
-                               pf)
-            unshared = float((theta_ws.values * r.values).sum())
+            _, r = piped.terms(theta_ws, tc.gumbel_softmax_rows(
+                phi.parameters()[0], 1.0))
+            unshared = float((theta_ws.values * r.values
+                              * 2.0 ** pf.values).sum())
             assert out.resource.item() <= unshared + 1e-9
 
     def test_shared_needs_per_op_layout(self):
@@ -426,14 +445,19 @@ def reference_assemble(cm, theta, phi, pf, tau, rng=None):
     if device.resource_mode == "fixed":
         resource = Tensor(0.0)
     elif device.resource_mode == "shared":
+        # IP m needs psi step k unless every block leaves it below q_k
+        levels = [psi(q) for q in bits]
+        steps = [b - a for a, b in zip([0.0] + levels, levels)]
         for m in range(m_count):
-            usage = weighted = None
-            for i in range(n):
-                contrib = theta_ws[i][m] * (phi_ws[i][m] * res_vec).sum()
-                usage = theta_ws[i][m] if usage is None else usage + theta_ws[i][m]
-                weighted = contrib if weighted is None else weighted + contrib
-            ip_res = weighted / (usage + Tensor(1e-300)) * tc.pow2(pf[m])
-            term = tc.tanh(usage) * ip_res
+            need = None
+            for k, step in enumerate(steps):
+                idle = None
+                for i in range(n):
+                    free = Tensor(1.0) - theta_ws[i][m] * phi_ws[i][m][k:].sum()
+                    idle = free if idle is None else idle * free
+                term = (Tensor(1.0) - idle) * Tensor(step)
+                need = term if need is None else need + term
+            term = need * tc.pow2(pf[m])
             resource = term if resource is None else resource + term
     else:
         for r in block_ress:
@@ -542,3 +566,110 @@ class TestArrayAssembleMatchesScalarLoop:
                             rng=np.random.default_rng(0) if noisy else None)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1] <= 28
+
+
+# -- one cost at every vertex: relaxed objective, reported design, oracle ---------
+
+def reference_predict_discrete(space, device, ops, bits, pfs):
+    """predict_discrete as a scalar loop per block; a shared IP is sized
+    for its widest user, at its first user's parallel factor."""
+    n = space.num_blocks
+    if device.kind == "gpu_table":
+        lats = [device.table.lookup(ops[i], bits[i]) for i in range(n)]
+        return {
+            "block_latencies": lats,
+            "latency_total": float(sum(lats)),
+            "latency_bottleneck": float(max(lats)),
+            "resource": 0.0,
+            "resource_bound": None,
+        }
+    lats = [phi_cal(bits[i]) * op_work(space, i, ops[i]) * 2.0 ** -pfs[i]
+            for i in range(n)]
+    if device.kind == "fpga_recursive":
+        res = 0.0
+        for m in sorted(set(ops)):
+            users = [i for i in range(n) if ops[i] == m]
+            res += max(psi(bits[i]) for i in users) * 2.0 ** pfs[users[0]]
+    else:
+        res = sum(psi(bits[i]) * 2.0 ** pfs[i] for i in range(n))
+    out = {
+        "block_latencies": lats,
+        "latency_total": float(sum(lats)),
+        "latency_bottleneck": float(max(lats)),
+        "resource": float(res),
+        "resource_bound": float(device.res_ub),
+    }
+    if device.kind == "fpga_pipelined":
+        out["throughput"] = 1.0 / float(max(lats))
+    return out
+
+
+class TestVertexAgreement:
+    """At every discrete design, assemble (at saturated logits), the
+    reported design and the oracle's long-hand arithmetic give one latency
+    and one resource."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(DEVICE_KINDS),
+           n=st.integers(1, 4), m=st.integers(1, 4), q=st.integers(1, 3))
+    def test_assemble_predict_and_oracle_agree(self, data, kind, n, m, q):
+        draw = data.draw
+        cm = random_cost_model(data, kind, n, m, q)
+        space, device = cm.space, cm.device
+        cm.perf_norm = draw(st.floats(1.0, 1e6))
+        levels = space.quant.bit_widths
+        ops = [draw(st.integers(0, m - 1)) for _ in range(n)]
+        bits = [draw(st.sampled_from(levels))
+                for _ in range(1 if device.shared_precision else n)]
+        bits = bits * (n // len(bits))
+        pfs = None
+        if device.pf_layout is not None:
+            top = int(device.pf_max)
+            per_op = [draw(st.integers(0, top)) for _ in range(m)]
+            pfs = ([per_op[o] for o in ops] if kind == "fpga_recursive"
+                   else [draw(st.integers(0, top)) for _ in range(n)])
+
+        theta = Parameter(np.where(np.eye(m)[ops] > 0, 30.0, -30.0))
+        phi = PhiArray(n, m, len(levels), device.shared_precision)
+        sat = np.where(np.eye(len(levels))[[levels.index(b) for b in bits]] > 0,
+                       30.0, -30.0)
+        phi.parameters()[0].assign(sat[0] if device.shared_precision
+                                   else np.repeat(sat[:, None], m, axis=1))
+        layout = cm.layout_pfs(ops, pfs)
+        out = cm.assemble(theta, phi, None if layout is None
+                          else Parameter(layout), tau=1.0)
+        want = predict_discrete(space, device, ops, bits, pfs)
+        perf_o, res_o, _ = om.exact_vertex_costs(
+            space, device, cm.hyper, cm.perf_norm, ops, bits, layout)
+
+        def close(value):
+            return pytest.approx(value, rel=1e-9, abs=1e-12)
+        assert out.resource.item() == close(want["resource"])
+        assert res_o == close(want["resource"])
+        lats = [p * cm.perf_norm for p in out.block_perfs_norm]
+        assert lats == close(want["block_latencies"])
+        assert out.perf_loss.item() == close(perf_o)
+        # the users of each shared IP agree on its factor: the scalar loop
+        # gives the same bits
+        assert want == reference_predict_discrete(space, device, ops, bits, pfs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 5), m=st.integers(1, 3))
+    def test_conflicting_shared_factors_name_the_block(self, data, n, m):
+        draw = data.draw
+        space = fpga_space(num_blocks=n, channel_plan=(8,) * n,
+                           downsample_blocks=(), kernel_sizes=(1, 3, 5)[:m])
+        device = DeviceModel.fpga_recursive(900)
+        ops = [draw(st.integers(0, m - 1)) for _ in range(n)]
+        pfs = [draw(st.integers(0, 9)) for _ in range(n)]
+        # the last user of an op sets its factor; the first block that
+        # disagrees with it is named
+        last = {o: pf for o, pf in zip(ops, pfs)}
+        bad = [i for i in range(n) if pfs[i] != last[ops[i]]]
+        if not bad:
+            assert predict_discrete(space, device, ops, [8] * n, pfs) == \
+                reference_predict_discrete(space, device, ops, [8] * n, pfs)
+            return
+        with pytest.raises(CostError, match=f"^block {bad[0]}: parallel "
+                                            f"factor {pfs[bad[0]]} "):
+            predict_discrete(space, device, ops, [8] * n, pfs)

@@ -144,8 +144,8 @@ class TestVertexConsistency:
         pf = np.array([3.0, 3.0])
         perf_o, _, _ = om.exact_vertex_costs(space, device, hyper, perf_norm,
                                              (1,), (8,), pf)
-        perf_8bit, _ = cm.op_costs(Tensor([0.0, 1.0]), Tensor(3.0))
-        direct = perf_8bit[(0, 1)].item() / perf_norm
+        lat_8bit, _ = cm.terms(Tensor([[0.0, 1.0]]), Tensor([0.0, 1.0]))
+        direct = lat_8bit[(0, 1)].item() * 2.0 ** -3 / perf_norm
         assert perf_o == pytest.approx(hyper.alpha * direct, rel=1e-12)
 
 

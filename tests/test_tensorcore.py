@@ -124,6 +124,29 @@ class TestLogSumExp:
             assert out <= v.max() + math.log(len(v)) + 1e-12
 
 
+class TestProd:
+    def test_gradient_at_exact_zero_is_product_of_the_others(self):
+        # dyadic entries: every partial product is exact in any order
+        values = np.array([[0.5, -1.25, 0.0, 3.0], [2.0, 0.0, 0.0, -0.75]])
+        upstream = np.array([1.5, -2.0])
+        x = Parameter(values)
+        out = backward(lambda: (tc.prod(x, axis=1) * Tensor(upstream)).sum(),
+                       [x])
+        assert out.item() == 0.0
+        want = [[upstream[r] * np.prod(np.delete(values[r], j))
+                 for j in range(4)] for r in range(2)]
+        assert np.array_equal(x.grad, want)
+        assert x.grad[0, 2] == 1.5 * (0.5 * -1.25 * 3.0)
+        assert not np.any(x.grad[1])  # two zeros: each sees the other
+
+    def test_single_entry_axis(self):
+        x = Parameter([[2.0, -3.0]])
+        out = backward(lambda: (tc.prod(x, axis=0) * Tensor([1.0, 4.0])).sum(),
+                       [x])
+        assert out.item() == -10.0
+        assert x.grad.tolist() == [[1.0, 4.0]]
+
+
 class TestGumbelSoftmax:
     def test_uniform_when_noise_off(self):
         out = tc.gumbel_softmax(Tensor(np.zeros(4)), tau=1.0)
@@ -217,7 +240,8 @@ class TestFiniteDiff:
 
     PRIMITIVES = ["add", "sub", "mul", "div", "exp", "log", "tanh", "relu",
                   "pow2", "matmul", "conv", "dwconv", "affine", "gap",
-                  "xent", "softmax", "lse", "take", "stack", "sum_axis"] \
+                  "xent", "softmax", "lse", "take", "stack", "sum_axis",
+                  "prod"] \
         + list(CONSTANT_INPUT)
 
     @pytest.mark.parametrize("name", PRIMITIVES)
@@ -286,6 +310,12 @@ class TestFiniteDiff:
             axis = int(rng.integers(-3, 3))
             m2 = Tensor(rng.normal(size=np.delete((2, 3, 4), axis)))
             return tc.finite_diff_check(lambda: (x.sum(axis) * m2).sum(), [x])
+        if name == "prod":
+            x = Parameter(rng.normal(size=(2, 3, 4)))
+            axis = int(rng.integers(-3, 3))
+            m2 = Tensor(rng.normal(size=np.delete((2, 3, 4), axis)))
+            return tc.finite_diff_check(lambda: (tc.prod(x, axis) * m2).sum(),
+                                        [x])
         if name == "relu":
             # keep values away from the kink
             shift = Tensor(np.where(np.abs(a.values) < 0.05, 0.2, 0.0))
