@@ -447,6 +447,8 @@ def _parse_seeds(args):
 def cmd_search(args) -> int:
     doc = load_config_file(args.config)
     seeds = _parse_seeds(args)
+    if args.workers < 1:
+        raise ConfigFileError(f"--workers must be >= 1, got {args.workers}")
     # a config error must leave no output directory behind
     config0 = build_search_config(doc, seed=seeds[0], device_kind=args.device)
     out = _out_dir(doc, args.output)
@@ -501,10 +503,10 @@ def cmd_search(args) -> int:
 def cmd_enumerate(args) -> int:
     doc = load_config_file(args.config)
     config = build_search_config(doc, device_kind=args.device)
-    out = _out_dir(doc, args.output)
     protocol = oraclemod.OracleProtocol(
         train_steps=args.train_steps, seed=args.protocol_seed, cap=args.cap,
         workers=args.workers)
+    out = _out_dir(doc, args.output)
     ranking = oraclemod.rank_configs(config, protocol)
     path = os.path.join(out, "ranking.json")
     write_json(path, ranking_document(ranking))

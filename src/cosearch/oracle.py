@@ -174,6 +174,12 @@ class OracleProtocol:
     retune_steps: int = 400
     retune_lr: float = 0.03
 
+    def __post_init__(self):
+        for name in ("train_steps", "batch_size", "workers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise OracleError(f"{name} must be >= 1, got {value}")
+
 
 def _train_acc_loss(config: SearchConfig, protocol: OracleProtocol,
                     discrete: DiscreteConfig, train, val) -> float:

@@ -186,13 +186,20 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf; .grad is a dense array accumulated by Tape.backward."""
+    """Trainable leaf; .grad is a dense array accumulated by Tape.backward.
 
-    __slots__ = ()
+    A parameter owns its storage: it copies its initial values, and assign
+    writes into them in place, so .values and .grad may be views into the
+    flat buffers of a FlatParameters.
+    """
+
+    __slots__ = ("packed",)
 
     def __init__(self, values):
-        super().__init__(values, requires_grad=True, _op="parameter")
+        super().__init__(np.array(values, dtype=np.float64),
+                         requires_grad=True, _op="parameter")
         self.grad = np.zeros_like(self.values)
+        self.packed = False
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -203,7 +210,34 @@ class Parameter(Tensor):
             raise ShapeError(
                 f"assign: shape {arr.shape} != parameter shape {self.values.shape}")
         _check_finite(arr, "assign")
-        self.values = arr
+        self.values[...] = arr
+
+
+class FlatParameters:
+    """One flat value buffer and one flat gradient buffer behind a list of
+    parameters, whose .values and .grad become reshaped views into them.
+    A parameter joins one buffer only."""
+
+    def __init__(self, params):
+        if any(p.packed for p in params) or len(set(map(id, params))) < len(params):
+            raise TensorError("a parameter is already in a flat buffer")
+        self.values = np.empty(sum(p.values.size for p in params))
+        self.grad = np.empty_like(self.values)
+        start = 0
+        for p in params:
+            stop = start + p.values.size
+            self.values[start:stop] = p.values.ravel()
+            self.grad[start:stop] = p.grad.ravel()
+            p.values = self.values[start:stop].reshape(p.values.shape)
+            p.grad = self.grad[start:stop].reshape(p.grad.shape)
+            p.packed = True
+            start = stop
+
+    def assign(self, values):
+        """Write every parameter at once; nothing is written unless all of
+        `values` is finite."""
+        _check_finite(values, "assign")
+        self.values[...] = values
 
 
 def _wrap(x):
@@ -278,14 +312,6 @@ def log(a):
     return _make(vals, (a,), grad_fn, "log")
 
 
-def tanh(a):
-    out_vals = np.tanh(a.values)
-
-    def grad_fn(g):
-        return (g * (1.0 - out_vals ** 2),)
-    return _make(out_vals, (a,), grad_fn, "tanh")
-
-
 def relu(a):
     def grad_fn(g):
         return (g * (a.values > 0),)
@@ -313,17 +339,6 @@ def take(a, idx):
         np.add.at(full, idx, g)
         return (full,)
     return _make(a.values[idx], (a,), grad_fn, "take")
-
-
-def stack(tensors):
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("stack: empty input")
-
-    def grad_fn(g):
-        return tuple(g[i] for i in range(len(tensors)))
-    return _make(np.stack([t.values for t in tensors]), tuple(tensors),
-                 grad_fn, "stack")
 
 
 def total_sum(a, axis=None):

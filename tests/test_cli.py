@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,37 @@ class TestSearchCommand:
         assert cli.main(["search", "-c", str(path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: device: ") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps_per_epoch", 0), ("batch_size", 0), ("retrain_epochs", 0),
+        ("retune_steps", -1),
+    ])
+    def test_bad_run_count_is_a_config_error(self, tmp_path, capsys, key,
+                                             value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(re.sub(rf"{key}: \d+", f"{key}: {value}",
+                               SMALL_YAML.format(out=tmp_path / "o")))
+        assert cli.main(["search", "-c", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("search", ["--workers", "0"], "--workers"),
+        ("search", ["--seeds", "1..2", "--workers", "-2"], "--workers"),
+        ("enumerate", ["--workers", "0"], "workers"),
+        ("enumerate", ["--train-steps", "0"], "train_steps"),
+    ])
+    def test_bad_worker_or_step_flag_is_a_config_error(self, tmp_path, capsys,
+                                                       command, flags, named):
+        path = tmp_path / "run.yaml"
+        path.write_text(SMALL_YAML.format(out=tmp_path / "o"))
+        assert cli.main([command, "-c", str(path), *flags]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 

@@ -14,6 +14,8 @@ from cosearch.search import predict_discrete
 from cosearch.supernet import PhiArray, QuantLevels, SearchSpace
 from cosearch.tensorcore import Parameter, Tape, Tensor
 
+from reference_ops import stack
+
 
 def fpga_space(**kw):
     defaults = dict(num_blocks=2, kernel_sizes=(3, 5), expansion_ratios=(2,),
@@ -432,12 +434,12 @@ def reference_assemble(cm, theta, phi, pf, tau, rng=None):
             lat = Tensor([phi_cal(q) * op_work(space, i, m) for q in bits])
             perfs.append((w * lat).sum() * tc.pow2(-p))
             ress.append((w * res_vec).sum() * tc.pow2(p))
-        block_perfs.append((theta_ws[i] * tc.stack(perfs)).sum())
-        block_ress.append((theta_ws[i] * tc.stack(ress)).sum())
+        block_perfs.append((theta_ws[i] * stack(perfs)).sum())
+        block_ress.append((theta_ws[i] * stack(ress)).sum())
 
     norm = Tensor(cm.perf_norm)
     block_perfs_n = [p / norm for p in block_perfs]
-    vec = tc.stack(block_perfs_n)
+    vec = stack(block_perfs_n)
     agg = tc.log_sum_exp(vec) if device.perf_aggregation == "lse" else vec.sum()
     perf_loss = agg * Tensor(cm.hyper.alpha)
 

@@ -1,0 +1,91 @@
+"""Behaviour fingerprint: tiny fixed-seed runs whose designs and final
+losses are pinned to the bit.
+
+A change meant to leave the numbers alone (a faster kernel, a different
+storage layout) must keep every line here; a change that moves them on
+purpose re-records the pins and says why.
+"""
+
+import math
+
+import pytest
+
+from cosearch import data as datamod
+from cosearch import search
+from cosearch.costmodel import DeviceModel, reference_gpu_table
+from cosearch.search import (DerivedDesign, SearchConfig, retrain_design,
+                             run_search)
+from cosearch.supernet import QuantLevels, SearchSpace
+
+
+def tiny_space(bits=(4, 8)):
+    return SearchSpace(num_blocks=2, kernel_sizes=(3, 5), expansion_ratios=(2,),
+                       quant=QuantLevels(bits), input_hw=(8, 8),
+                       channel_plan=(8, 8), downsample_blocks=(2,),
+                       stem_channels=8, num_classes=4)
+
+
+def tiny_config(device, space=None, **kw):
+    defaults = dict(space=space or tiny_space(), device=device,
+                    data=datamod.DatasetSpec(samples_per_class=32, height=8,
+                                             width=8, seed=3),
+                    epochs=4, steps_per_epoch=6, batch_size=8, seed=7,
+                    retune_steps=100)
+    defaults.update(kw)
+    return SearchConfig(**defaults)
+
+
+def gpu_config():
+    space = tiny_space(bits=(8, 16))
+    return tiny_config(DeviceModel.gpu(reference_gpu_table(space)), space)
+
+
+@pytest.fixture
+def clip_log(monkeypatch):
+    """Whether each SGD step's global gradient norm exceeded the clip."""
+    fired = []
+    real_step = search.SGD.step
+
+    def step(opt):
+        norm = math.sqrt(sum(float((p.grad ** 2).sum()) for p in opt.params))
+        fired.append(norm > opt.clip_norm)
+        real_step(opt)
+    monkeypatch.setattr(search.SGD, "step", step)
+    return fired
+
+
+# name -> (config, ops, bits, parallel factors, repr of the final epoch's
+# total loss, clipped steps)
+SEARCHES = {
+    "fpga_recursive": (lambda: tiny_config(DeviceModel.fpga_recursive(64.0)),
+                       [0, 0], [4, 4], [6, 6], "0.8369785320608618", 0),
+    "fpga_pipelined": (lambda: tiny_config(DeviceModel.fpga_pipelined(64.0)),
+                       [0, 0], [4, 4], [6, 6], "1.4361136117724274", 0),
+    "gpu_table": (gpu_config, [0, 0], [8, 8], None, "0.7776120591562145", 0),
+    # a weight learning rate at which the gradient clip fires on 7 of the
+    # 24 weight steps
+    "clipped": (lambda: tiny_config(DeviceModel.fpga_recursive(64.0),
+                                    lr_weights=0.5),
+                [0, 0], [4, 4], [6, 6], "7.135499375070883", 7),
+}
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_search_fingerprint(name, clip_log):
+    make, ops, bits, pfs, loss, clipped = SEARCHES[name]
+    report = run_search(make())
+    design = report.design
+    assert (design.op_indices, design.bit_widths,
+            design.parallel_factors) == (ops, bits, pfs)
+    assert repr(report.epochs[-1]["total_loss"]) == loss
+    assert (sum(clip_log), len(clip_log)) == (clipped, 24)
+
+
+def test_retrain_fingerprint(clip_log):
+    design = DerivedDesign("fpga_recursive", [1, 0], [8, 4], [3, 3], False)
+    config = tiny_config(DeviceModel.fpga_recursive(64.0))
+    _, metrics = retrain_design(design, config, epochs=2)
+    assert {k: repr(v) for k, v in metrics.items()} == {
+        "val_accuracy": "0.5", "test_accuracy": "0.5",
+        "val_loss": "1.3461735908915884"}
+    assert len(clip_log) == 12

@@ -149,6 +149,16 @@ class TestVertexConsistency:
         assert perf_o == pytest.approx(hyper.alpha * direct, rel=1e-12)
 
 
+class TestProtocol:
+    @pytest.mark.parametrize("field, value", [
+        ("train_steps", 0), ("batch_size", 0), ("workers", 0),
+        ("workers", -2),
+    ])
+    def test_counts_validated(self, field, value):
+        with pytest.raises(om.OracleError, match=field):
+            om.OracleProtocol(**{field: value})
+
+
 class TestRanking:
     def test_ranking_is_permutation_and_sorted(self):
         config = tiny_config()

@@ -23,6 +23,8 @@ from cosearch.search import (DerivedDesign, InfeasibleError, SearchAbort,
 from cosearch.supernet import QuantLevels, SearchSpace
 from cosearch.tensorcore import NonFiniteError, Parameter, Tape, Tensor
 
+from reference_ops import stack
+
 
 def small_space(**kw):
     defaults = dict(num_blocks=2, kernel_sizes=(3, 5), expansion_ratios=(2,),
@@ -91,6 +93,135 @@ class TestInitialization:
             small_config(lr_arch=0.0)
         with pytest.raises(SearchError):
             small_config(tau_start=0.1, tau_end=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps_per_epoch", 0), ("batch_size", 0), ("batch_size", -8),
+        ("retrain_epochs", 0), ("retune_steps", -1),
+    ])
+    def test_run_counts_validated(self, field, value):
+        with pytest.raises(SearchError, match=field):
+            small_config(**{field: value})
+
+    def test_zero_retune_steps_allowed(self):
+        assert small_config(retune_steps=0).retune_steps == 0
+
+    def test_retrain_needs_an_epoch(self):
+        design = DerivedDesign("fpga_recursive", [0, 0], [4, 4], [3, 3], False)
+        with pytest.raises(SearchError, match="retrain epochs"):
+            search.retrain_design(design, small_config(), epochs=0)
+
+
+def reference_sgd_step(params, vels, lr, momentum, clip_norm):
+    """SGD.step as it ran before the flat buffer: the clip norm summed
+    array by array, then one update per parameter."""
+    scale = 1.0
+    if clip_norm is not None:
+        total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+        if total > clip_norm:
+            scale = clip_norm / total
+    for p, v in zip(params, vels):
+        v *= momentum
+        v += scale * p.grad
+        p.assign(p.values - lr * v)
+
+
+# gradient norm / clip_norm: well below, a hair either side, on it, far above
+NORM_RATIOS = (0.1, 1 - 1e-12, 1.0, 1 + 1e-12, 100.0)
+
+
+class TestFlatSGD:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           shapes=st.lists(st.lists(st.integers(1, 4), max_size=3),
+                           min_size=1, max_size=8),
+           momentum=st.sampled_from((0.0, 0.9)),
+           clip_norm=st.sampled_from((None, 5.0)),
+           lr=st.sampled_from((0.05, 1.0)))
+    def test_bitwise_equal_to_per_parameter_step(self, data, shapes, momentum,
+                                                 clip_norm, lr):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        start = [rng.normal(size=s) for s in shapes]
+        params = [Parameter(v) for v in start]
+        ref = [Parameter(v) for v in start]
+        ref_vels = [np.zeros(s) for s in shapes]
+        opt = search.SGD(params, lr=lr, momentum=momentum, clip_norm=clip_norm)
+        for _ in range(data.draw(st.integers(1, 4))):
+            grads = [rng.normal(size=s) for s in shapes]
+            if data.draw(st.booleans(), label="norm exactly on the clip"):
+                for g in grads:
+                    g[...] = 0.0
+                grads[data.draw(st.integers(0, len(grads) - 1))].flat[0] = 5.0
+            else:
+                norm = math.sqrt(sum(float((g ** 2).sum()) for g in grads))
+                ratio = data.draw(st.sampled_from(NORM_RATIOS))
+                grads = [g * (5.0 * ratio / norm) for g in grads]
+            opt.zero_grad()
+            for p, r, g in zip(params, ref, grads):
+                p.grad += g
+                r.grad[...] = g
+            opt.step()
+            reference_sgd_step(ref, ref_vels, lr, momentum, clip_norm)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p.values, r.values)
+            assert np.array_equal(
+                opt._vel, np.concatenate([v.ravel() for v in ref_vels]))
+
+    def test_clip_decision_tolerates_flat_norm_rounding(self):
+        # The one dot product over the flat buffer may round differently
+        # from the per-parameter sums.  Skewed low by 1e-12, it must still
+        # not decide alone that a norm just above the clip is below it.
+        real_dot = np.dot
+        grads = [np.full((3, 4), 1.0), np.full(5, -2.0)]
+        norm = math.sqrt(sum(float((g ** 2).sum()) for g in grads))
+        grads = [g * (5.0 * (1 + 1e-13) / norm) for g in grads]
+        assert math.sqrt(sum(float((g ** 2).sum()) for g in grads)) > 5.0
+        params = [Parameter(np.zeros(g.shape)) for g in grads]
+        ref = [Parameter(np.zeros(g.shape)) for g in grads]
+        for p, r, g in zip(params, ref, grads):
+            p.grad[...] = g
+            r.grad[...] = g
+        opt = search.SGD(params, lr=0.1)
+        with mock.patch.object(search.np, "dot",
+                               lambda a, b: real_dot(a, b) * (1 - 1e-12)):
+            opt.step()
+        reference_sgd_step(ref, [np.zeros(g.shape) for g in grads], 0.1, 0.0,
+                           5.0)
+        for p, r in zip(params, ref):
+            assert np.array_equal(p.values, r.values)
+
+    def test_non_finite_update_writes_nothing(self):
+        params = [Parameter(np.ones((2, 3))), Parameter(np.arange(4.0)),
+                  Parameter(2.0)]
+        opt = search.SGD(params, lr=0.1, momentum=0.9)
+        before = [p.values.copy() for p in params]
+        params[0].grad[...] = 1.0
+        params[1].grad[2] = np.nan
+        with pytest.raises(NonFiniteError, match="'assign'"):
+            opt.step()
+        for b, p in zip(before, params):
+            assert np.array_equal(b, p.values)
+
+    def test_step_updates_what_assign_wrote(self):
+        params = [Parameter(np.zeros((2, 2))), Parameter(np.zeros(3))]
+        opt = search.SGD(params, lr=0.5, clip_norm=None)
+        params[1].assign([1.0, 2.0, 3.0])
+        params[1].grad[...] = 2.0
+        opt.step()
+        assert params[1].values.tolist() == [0.0, 1.0, 2.0]
+        assert params[0].values.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_weights_join_one_optimizer(self):
+        net = initialize(small_config()).supernet  # its SGD packed the weights
+        with pytest.raises(tc.TensorError, match="already in a flat buffer"):
+            search.SGD(net.weight_parameters(), lr=0.1)
+        p = Parameter(np.zeros(2))
+        with pytest.raises(tc.TensorError):
+            search.SGD([p, p], lr=0.1)
+
+    def test_no_parameters(self):
+        opt = search.SGD([], lr=0.1, momentum=0.9)
+        opt.zero_grad()
+        opt.step()
 
 
 class TestBilevelStep:
@@ -361,7 +492,7 @@ def reference_retune(design, space, device, hyper, perf_norm, steps, lr):
     for _ in range(steps):
         opt.zero_grad()
         with Tape() as tape:
-            vec = tc.stack([Tensor(lat_consts[i]) * tc.pow2(-pf[var_of_block[i]])
+            vec = stack([Tensor(lat_consts[i]) * tc.pow2(-pf[var_of_block[i]])
                             for i in range(n)])
             agg = (tc.log_sum_exp(vec) if device.perf_aggregation == "lse"
                    else vec.sum())

