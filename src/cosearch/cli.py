@@ -449,9 +449,7 @@ def cmd_search(args) -> int:
     seeds = _parse_seeds(args)
     if args.workers < 1:
         raise ConfigFileError(f"--workers must be >= 1, got {args.workers}")
-    # a config error must leave no output directory behind
     config0 = build_search_config(doc, seed=seeds[0], device_kind=args.device)
-    out = _out_dir(doc, args.output)
     dataset = datamod.generate_dataset(config0.data)
 
     def one(seed):
@@ -464,6 +462,8 @@ def cmd_search(args) -> int:
     else:
         results = [one(s) for s in seeds]
 
+    # only now: a config error or an infeasible budget leaves no directory
+    out = _out_dir(doc, args.output)
     status = EXIT_OK
     summary = []
     for config, report in results:
@@ -506,9 +506,8 @@ def cmd_enumerate(args) -> int:
     protocol = oraclemod.OracleProtocol(
         train_steps=args.train_steps, seed=args.protocol_seed, cap=args.cap,
         workers=args.workers)
-    out = _out_dir(doc, args.output)
     ranking = oraclemod.rank_configs(config, protocol)
-    path = os.path.join(out, "ranking.json")
+    path = os.path.join(_out_dir(doc, args.output), "ranking.json")
     write_json(path, ranking_document(ranking))
     print(f"{len(ranking.entries)} configurations ranked -> {path}")
     for e in ranking.entries[:5]:

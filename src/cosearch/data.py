@@ -127,66 +127,3 @@ def batches(dataset: Dataset, batch_size: int, rng: np.random.Generator):
     for start in range(0, len(dataset), batch_size):
         sel = order[start:start + batch_size]
         yield dataset.images[sel], dataset.labels[sel]
-
-
-# -- difficulty calibration baselines -------------------------------------------
-
-def baseline_convnet_accuracy(train: Dataset, heldout: Dataset, epochs=20,
-                              channels=12, lr=0.1, seed=0) -> float:
-    """Two-layer reference model (3x3 conv + pooled linear readout); the
-    generator is tuned so this clears 0.90 held-out accuracy."""
-    from . import tensorcore as tc
-    from .search import SGD
-
-    rng = np.random.default_rng(seed)
-    c_in = train.images.shape[1]
-    classes = int(train.labels.max()) + 1
-    w1 = tc.Parameter(rng.normal(0, np.sqrt(2.0 / (9 * c_in)),
-                                 (channels, c_in, 3, 3)))
-    g1 = tc.Parameter(np.ones(channels))
-    b1 = tc.Parameter(np.zeros(channels))
-    w2 = tc.Parameter(rng.normal(0, np.sqrt(1.0 / channels),
-                                 (channels, classes)))
-    b2 = tc.Parameter(np.zeros(classes))
-    opt = SGD([w1, g1, b1, w2, b2], lr=lr, momentum=0.9)
-    brng = np.random.default_rng(seed + 1)
-
-    def logits_of(images):
-        h = tc.relu(tc.channel_affine(tc.conv2d(tc.Tensor(images), w1), g1, b1))
-        return tc.matmul(tc.global_avg_pool(h), w2) + b2
-
-    for _ in range(epochs):
-        for x, y in batches(train, 32, brng):
-            opt.zero_grad()
-            with tc.Tape() as tape:
-                tape.backward(tc.softmax_cross_entropy(logits_of(x), y))
-            opt.step()
-    pred = np.argmax(logits_of(heldout.images).values, axis=1)
-    return float((pred == heldout.labels).mean())
-
-
-def linear_probe_accuracy(train: Dataset, heldout: Dataset, epochs=30,
-                          lr=0.01, seed=0) -> float:
-    """Logistic regression on raw pixels; random texture phase keeps this
-    weak on held-out data."""
-    from . import tensorcore as tc
-    from .search import Adam
-
-    rng = np.random.default_rng(seed)
-    feat = train.images[0].size
-    classes = int(train.labels.max()) + 1
-    w = tc.Parameter(rng.normal(0, 0.01, (feat, classes)))
-    b = tc.Parameter(np.zeros(classes))
-    opt = Adam([w, b], lr=lr)
-    brng = np.random.default_rng(seed + 1)
-    for _ in range(epochs):
-        for x, y in batches(train, 64, brng):
-            opt.zero_grad()
-            with tc.Tape() as tape:
-                logits = tc.matmul(tc.Tensor(x.reshape(len(x), -1)), w) + b
-                tape.backward(tc.softmax_cross_entropy(logits, y))
-            opt.step()
-    pred = np.argmax(heldout.images.reshape(len(heldout), -1) @ w.values
-                     + b.values, axis=1)
-    return float((pred == heldout.labels).mean())
-

@@ -19,10 +19,11 @@ import numpy as np
 
 from . import data as datamod
 from .costmodel import CostHyperparams, CostModel, DeviceModel
-from .search import (DerivedDesign, SGD, SearchConfig, initial_parallel_factors,
-                     retune_parallel_factors)
+from .search import (DerivedDesign, SearchConfig, config_hash,
+                     initial_parallel_factors, retune_parallel_factors,
+                     train_path)
 from .supernet import SearchSpace, Supernet
-from .tensorcore import NonFiniteError, Tape
+from .tensorcore import NonFiniteError
 
 
 class OracleError(Exception):
@@ -61,8 +62,29 @@ class OracleRanking:
         raise OracleError(f"design {key} not present in the ranking")
 
 
+@dataclass
+class OracleProtocol:
+    """Identical training budget and seed for every enumerated config, so
+    score differences come from the architecture, not the draw."""
+    train_steps: int = 150
+    batch_size: int = 32
+    lr: float = 0.05
+    momentum: float = 0.9
+    seed: int = 0
+    cap: int = 4096
+    workers: int = 1
+    retune_steps: int = SearchConfig.retune_steps
+    retune_lr: float = SearchConfig.retune_lr
+
+    def __post_init__(self):
+        for name in ("train_steps", "batch_size", "workers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise OracleError(f"{name} must be >= 1, got {value}")
+
+
 def enumerate_configs(space: SearchSpace, device: DeviceModel,
-                      cap: int = 4096):
+                      cap: int = OracleProtocol.cap):
     """All discrete (op, bit-width) assignments, duplicate-free.
 
     Per-block bit-widths for FPGA devices; one shared bit-width for GPU.
@@ -160,46 +182,14 @@ def exact_vertex_costs(space: SearchSpace, device: DeviceModel,
 
 # -- accuracy protocol ------------------------------------------------------------
 
-@dataclass
-class OracleProtocol:
-    """Identical training budget and seed for every enumerated config, so
-    score differences come from the architecture, not the draw."""
-    train_steps: int = 150
-    batch_size: int = 32
-    lr: float = 0.05
-    momentum: float = 0.9
-    seed: int = 0
-    cap: int = 4096
-    workers: int = 1
-    retune_steps: int = 400
-    retune_lr: float = 0.03
-
-    def __post_init__(self):
-        for name in ("train_steps", "batch_size", "workers"):
-            value = getattr(self, name)
-            if value < 1:
-                raise OracleError(f"{name} must be >= 1, got {value}")
-
-
 def _train_acc_loss(config: SearchConfig, protocol: OracleProtocol,
                     discrete: DiscreteConfig, train, val) -> float:
     net = Supernet(config.space, seed=protocol.seed,
                    shared_precision=config.device.shared_precision)
-    opt = SGD(net.weight_parameters(), lr=protocol.lr,
-              momentum=protocol.momentum)
     rng = np.random.default_rng(
         np.random.SeedSequence([protocol.seed, 0x0a11]))
-    steps = 0
-    while steps < protocol.train_steps:
-        for images, labels in datamod.batches(train, protocol.batch_size, rng):
-            opt.zero_grad()
-            with Tape() as tape:
-                loss = net.infer_loss(discrete, images, labels)
-                tape.backward(loss)
-            opt.step()
-            steps += 1
-            if steps >= protocol.train_steps:
-                break
+    train_path(net, discrete, train, protocol.train_steps, protocol.batch_size,
+               protocol.lr, protocol.momentum, rng)
     return float(net.infer_loss(discrete, val.images, val.labels).item())
 
 
@@ -241,13 +231,11 @@ def evaluate_config_exact(config: SearchConfig, protocol: OracleProtocol,
 def rank_configs(config: SearchConfig, protocol: OracleProtocol = None,
                  dataset=None) -> OracleRanking:
     """Exhaustive ranking of the whole discrete space, ascending loss."""
-    from .search import config_hash
-
     protocol = protocol or OracleProtocol()
+    configs = enumerate_configs(config.space, config.device, cap=protocol.cap)
     if dataset is None:
         dataset = datamod.generate_dataset(config.data)
     train, val, _ = datamod.split(dataset, config.fractions, config.data.seed)
-    configs = enumerate_configs(config.space, config.device, cap=protocol.cap)
     pf0 = initial_parallel_factors(config.device, config.space)
     cm = CostModel(config.space, config.device, config.hyper)
     perf_norm = cm.initial_perf_norm(pf0)

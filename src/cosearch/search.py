@@ -320,7 +320,8 @@ def derive_architecture(state: SearchState) -> DerivedDesign:
 
 def retune_parallel_factors(design: DerivedDesign, space: SearchSpace,
                             device: DeviceModel, hyper: CostHyperparams,
-                            perf_norm: float, steps=400, lr=0.03) -> DerivedDesign:
+                            perf_norm: float, steps=SearchConfig.retune_steps,
+                            lr=SearchConfig.retune_lr) -> DerivedDesign:
     """Re-optimize the parallel factors of a fixed discrete architecture.
 
     The cost terms come once from the design's one-hot weights; each step
@@ -477,6 +478,23 @@ def run_search(config: SearchConfig, dataset=None, on_epoch=None) -> SearchRepor
     )
 
 
+def train_path(net: Supernet, design, train, steps, batch_size, lr, momentum,
+               rng):
+    """`steps` momentum-SGD steps of the fixed path `design` on shuffled
+    batches of `train`, one permutation drawn per epoch started."""
+    opt = SGD(net.weight_parameters(), lr=lr, momentum=momentum)
+    done = 0
+    while done < steps:
+        for images, labels in datamod.batches(train, batch_size, rng):
+            opt.zero_grad()
+            with Tape() as tape:
+                tape.backward(net.infer_loss(design, images, labels))
+            opt.step()
+            done += 1
+            if done == steps:
+                break
+
+
 def retrain_design(design: DerivedDesign, config: SearchConfig, dataset=None,
                    epochs=None, seed_salt=0x7e7a):
     """Train the fixed derived path from scratch; returns (net, metrics)."""
@@ -488,16 +506,10 @@ def retrain_design(design: DerivedDesign, config: SearchConfig, dataset=None,
         raise SearchError(f"retrain epochs must be >= 1, got {epochs}")
     net = Supernet(config.space, seed=int(config.seed) + seed_salt,
                    shared_precision=config.device.shared_precision)
-    opt = SGD(net.weight_parameters(), lr=config.lr_weights,
-              momentum=config.momentum)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, seed_salt]))
-    for _ in range(epochs):
-        for images, labels in datamod.batches(train, config.batch_size, rng):
-            opt.zero_grad()
-            with Tape() as tape:
-                loss = net.infer_loss(design, images, labels)
-                tape.backward(loss)
-            opt.step()
+    steps = epochs * math.ceil(len(train) / config.batch_size)
+    train_path(net, design, train, steps, config.batch_size, config.lr_weights,
+               config.momentum, rng)
     metrics = {
         "val_accuracy": eval_accuracy(net, design, val),
         "test_accuracy": eval_accuracy(net, design, test),

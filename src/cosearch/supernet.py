@@ -324,30 +324,6 @@ class Supernet:
             x = self._run_op(x, i, m, bits[qi]) * theta_gs[m] * phi_gs[qi]
         return tc.softmax_cross_entropy(self._head(x), labels)
 
-    def forward_soft(self, images, labels, tau):
-        """Noise-free fully-soft pass: every op/bit-width path runs, weighted
-        by tempered softmax of the logits.  Differentiable in theta and phi;
-        used by the gradient-check harness."""
-        bits = self.space.quant.bit_widths
-        x = self._stem(images)
-        shared_w = None
-        if self.shared_precision:
-            shared_w = tc.gumbel_softmax(self.phi.logits(0, 0), tau)
-        for i in range(self.space.num_blocks):
-            theta_w = tc.gumbel_softmax(self.theta[i], tau)
-            acc = None
-            for m in range(self.space.num_ops):
-                phi_w = shared_w if shared_w is not None \
-                    else tc.gumbel_softmax(self.phi.logits(i, m), tau)
-                op_out = None
-                for qi, q in enumerate(bits):
-                    term = self._run_op(x, i, m, q) * phi_w[qi]
-                    op_out = term if op_out is None else op_out + term
-                term = op_out * theta_w[m]
-                acc = term if acc is None else acc + term
-            x = acc
-        return tc.softmax_cross_entropy(self._head(x), labels)
-
     def forward_infer(self, design, images):
         """Deterministic single-path logits for a derived design."""
         self.space.check_design(design)

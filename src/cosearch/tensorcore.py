@@ -304,14 +304,6 @@ def exp(a):
     return _make(out_vals, (a,), grad_fn, "exp")
 
 
-def log(a):
-    def grad_fn(g):
-        return (g / a.values,)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log(a.values)
-    return _make(vals, (a,), grad_fn, "log")
-
-
 def relu(a):
     def grad_fn(g):
         return (g * (a.values > 0),)
@@ -621,8 +613,7 @@ def gumbel_softmax(logits, tau, rng=None, hard=False):
         return soft
     one_hot = np.zeros_like(soft.values)
     one_hot[int(np.argmax(soft.values))] = 1.0
-    # forward: one-hot; backward: identity into the soft weights
-    return soft + Tensor(one_hot - soft.values)
+    return straight_through(soft, one_hot)
 
 
 def straight_through(x, forward_values):
@@ -634,33 +625,3 @@ def straight_through(x, forward_values):
             f"straight_through: forward shape {forward_values.shape} != "
             f"{x.values.shape}")
     return x + Tensor(forward_values - x.values)
-
-
-def finite_diff_check(loss_fn, params, eps=1e-5):
-    """Max relative error between tape gradients and central differences.
-
-    `loss_fn` must rebuild the loss from the current parameter values each
-    call; perturbations are applied in place and restored.
-    """
-    if eps <= 0:
-        raise ValueError(f"finite_diff_check: eps must be positive, got {eps}")
-    for p in params:
-        p.zero_grad()
-    with Tape() as tape:
-        loss = loss_fn()
-        tape.backward(loss)
-    worst = 0.0
-    for p in params:
-        g_ad = p.grad.copy()
-        flat = p.values.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = loss_fn().item()
-            flat[i] = orig - eps
-            down = loss_fn().item()
-            flat[i] = orig
-            g_fd = (up - down) / (2 * eps)
-            err = abs(g_ad.reshape(-1)[i] - g_fd) / max(1.0, abs(g_fd))
-            worst = max(worst, err)
-    return worst

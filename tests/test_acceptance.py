@@ -20,6 +20,8 @@ from cosearch.search import (SearchConfig, initial_parallel_factors,
                              retrain_design, run_search)
 from cosearch.supernet import PhiArray, QuantLevels, SearchSpace, Supernet
 from cosearch.tensorcore import Parameter, Tape, Tensor
+from reference_ops import (baseline_convnet_accuracy, finite_diff_check,
+                           forward_soft)
 
 
 def desk_config(seed):
@@ -94,13 +96,13 @@ class TestCriterion1GradientFidelity:
             tau = float(rng.uniform(0.7, 2.0))
 
             def loss():
-                acc = net.forward_soft(images, labels, tau)
+                acc = forward_soft(net, images, labels, tau)
                 out = cm.assemble(net.theta, net.phi, pf, tau)
                 return cm.total_loss(acc, out.perf_loss, out.resource)
 
             params = ([net.theta] + net.phi.parameters()
                       + ([pf] if pf is not None else []))
-            worst = max(worst, tc.finite_diff_check(loss, params))
+            worst = max(worst, finite_diff_check(loss, params))
         return worst
 
     def test_criterion_1(self):
@@ -305,7 +307,7 @@ class TestCriterion7EndToEndQuality:
         dataset = datamod.generate_dataset(config.data)
         train, val, _ = datamod.split(dataset, config.fractions,
                                       config.data.seed)
-        baseline = datamod.baseline_convnet_accuracy(train, val)
+        baseline = baseline_convnet_accuracy(train, val)
         assert baseline >= 0.90, f"dataset calibration broke: {baseline}"
         design = desk_reports[0].design
         _, metrics = retrain_design(design, config, dataset=dataset)

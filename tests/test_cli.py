@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from cosearch import cli
+from cosearch import data as datamod
 from cosearch.costmodel import DeviceModel, reference_gpu_table
 from cosearch.oracle import OracleProtocol
 from cosearch.search import SearchConfig
@@ -164,6 +165,7 @@ class TestSearchCommand:
         path.write_text(SMALL_YAML.format(out=tmp_path / "o")
                         .replace("resource_bound: 64", "resource_bound: 1.5"))
         assert cli.main(["search", "-c", str(path)]) == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line, named", [
         ("resource_bound: .inf", "resource bound"),
@@ -180,6 +182,27 @@ class TestSearchCommand:
         assert err.startswith("config error: device: ") and named in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bound, flags, code, generated", [
+        (64, ["--cap", "10"], cli.EXIT_CONFIG, 0),
+        (1.5, [], cli.EXIT_INFEASIBLE, 1),
+    ])
+    def test_refused_enumeration_leaves_no_output(self, tmp_path, capsys,
+                                                  monkeypatch, bound, flags,
+                                                  code, generated):
+        calls = []
+        real = datamod.generate_dataset
+        monkeypatch.setattr(datamod, "generate_dataset",
+                            lambda spec: calls.append(spec) or real(spec))
+        path = tmp_path / "run.yaml"
+        path.write_text(SMALL_YAML.format(out=tmp_path / "o")
+                        .replace("resource_bound: 64",
+                                 f"resource_bound: {bound}"))
+        assert cli.main(["enumerate", "-c", str(path), *flags]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # a refused cap is refused before any data is generated
+        assert len(calls) == generated
 
     @pytest.mark.parametrize("key, value", [
         ("steps_per_epoch", 0), ("batch_size", 0), ("retrain_epochs", 0),

@@ -3,6 +3,7 @@ import pytest
 
 from cosearch import data as datamod
 from cosearch.data import DataError, DatasetSpec
+from reference_ops import baseline_convnet_accuracy, linear_probe_accuracy
 
 
 def test_counts_and_balance():
@@ -80,8 +81,8 @@ class TestCalibration:
     def test_convnet_vs_linear(self):
         ds = datamod.generate_dataset(DatasetSpec())
         train, val, _ = datamod.split(ds, (0.4, 0.4, 0.2), seed=7)
-        conv_acc = datamod.baseline_convnet_accuracy(train, val)
-        lin_acc = datamod.linear_probe_accuracy(train, val)
+        conv_acc = baseline_convnet_accuracy(train, val)
+        lin_acc = linear_probe_accuracy(train, val)
         assert conv_acc >= 0.90
         assert lin_acc <= 0.70
 

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from cosearch import data as datamod
-from cosearch import search
+from cosearch import oracle, search
 from cosearch.costmodel import DeviceModel, reference_gpu_table
 from cosearch.search import (DerivedDesign, SearchConfig, retrain_design,
                              run_search)
@@ -89,3 +89,31 @@ def test_retrain_fingerprint(clip_log):
         "val_accuracy": "0.5", "test_accuracy": "0.5",
         "val_loss": "1.3461735908915884"}
     assert len(clip_log) == 12
+
+
+def oracle_config():
+    return tiny_config(DeviceModel.fpga_recursive(64.0))
+
+
+def test_oracle_training_fingerprint(clip_log):
+    # 10 steps over 6 batches an epoch: the run stops inside its second
+    # epoch's permutation
+    config = oracle_config()
+    dataset = datamod.generate_dataset(config.data)
+    train, val, _ = datamod.split(dataset, config.fractions, config.data.seed)
+    protocol = oracle.OracleProtocol(train_steps=10, batch_size=8)
+    discrete = oracle.DiscreteConfig((1, 0), (8, 4))
+    loss = oracle._train_acc_loss(config, protocol, discrete, train, val)
+    assert repr(loss) == "1.292936717102388"
+    assert len(clip_log) == 10
+
+
+def test_oracle_ranking_fingerprint():
+    protocol = oracle.OracleProtocol(train_steps=10, batch_size=8,
+                                     retune_steps=60)
+    ranking = oracle.rank_configs(oracle_config(), protocol)
+    top = [(e.config.op_indices, e.config.bit_widths,
+            e.config.parallel_factors, repr(e.total_loss))
+           for e in ranking.entries[:2]]
+    assert top == [((0, 1), (4, 4), (6, 6), "0.7087171155712739"),
+                   ((0, 0), (4, 4), (6, 6), "0.7258209041031461")]
