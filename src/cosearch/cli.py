@@ -449,18 +449,18 @@ def cmd_search(args) -> int:
     seeds = _parse_seeds(args)
     if args.workers < 1:
         raise ConfigFileError(f"--workers must be >= 1, got {args.workers}")
-    config0 = build_search_config(doc, seed=seeds[0], device_kind=args.device)
-    dataset = datamod.generate_dataset(config0.data)
+    configs = [build_search_config(doc, seed=s, device_kind=args.device)
+               for s in seeds]
+    dataset = datamod.generate_dataset(configs[0].data)
 
-    def one(seed):
-        config = build_search_config(doc, seed=seed, device_kind=args.device)
+    def one(config):
         return config, run_search(config, dataset=dataset)
 
     if args.workers > 1 and len(seeds) > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(one, seeds))
+            results = list(pool.map(one, configs))
     else:
-        results = [one(s) for s in seeds]
+        results = [one(c) for c in configs]
 
     # only now: a config error or an infeasible budget leaves no directory
     out = _out_dir(doc, args.output)
@@ -522,7 +522,6 @@ def cmd_eval(args) -> int:
     config = build_search_config(doc, device_kind=args.device)
     ddoc = read_json(args.design)
     design = design_from_document(ddoc)
-    config.space.check_design(design)
     if config.device.kind != "gpu_table" and design.parallel_factors is None:
         raise ConfigFileError("design: parallel_factor missing for an FPGA "
                               "device")
@@ -603,9 +602,11 @@ def build_parser():
 
     p = sub.add_parser("search", help="run the co-search")
     common(p)
-    p.add_argument("--seed", type=int, default=None, help="override search.seed")
-    p.add_argument("--seeds", default=None,
-                   help="run a seed range, e.g. 1..10")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None,
+                       help="override search.seed")
+    seeds.add_argument("--seeds", default=None,
+                       help="run a seed range, e.g. 1..10")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel runs for --seeds")
     p.set_defaults(func=cmd_search)
@@ -643,8 +644,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigFileError as exc:

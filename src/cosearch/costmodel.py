@@ -25,6 +25,10 @@ class CostError(Exception):
     pass
 
 
+class InfeasibleError(CostError):
+    """The resource budget admits no design of the requested kind."""
+
+
 class MissingEntryError(CostError):
     def __init__(self, op_index, bit_width):
         super().__init__(f"no latency entry for op {op_index} at {bit_width}-bit")
@@ -305,7 +309,9 @@ class CostModel:
 
     def vertex_weights(self, ops, bits):
         """One-hot (op, bit-width) weights of a discrete design; a block's
-        bit-width applies to its whole candidate row."""
+        bit-width applies to its whole candidate row.  A design outside the
+        space raises SpaceError naming the block."""
+        self.space.check_design(ops, bits)
         n, m = self.space.num_blocks, self.space.num_ops
         levels = self.space.quant.bit_widths
         theta = np.zeros((n, m))
@@ -421,14 +427,28 @@ class CostModel:
                             f"{out[index][i]:g} for another block")
         return out
 
-    # -- normalizer -----------------------------------------------------------
+    # -- the starting point --------------------------------------------------
 
-    def initial_perf_norm(self, pf0=None) -> float:
-        """Aggregate performance of the uniform-weights starting point;
-        stored and used to scale block perfs into accuracy-loss range."""
+    def initial_pf(self):
+        """log2(budget / #IPs) in the device's pf layout: every IP starts
+        with an equal resource slice; None on the GPU."""
+        if self._pf_shape is None:
+            return None
+        ips = math.prod(self._pf_shape)
+        if self.device.res_ub <= ips:
+            raise InfeasibleError(
+                f"resource bound {self.device.res_ub} <= {ips} IPs: initial "
+                f"parallel factor would not be positive")
+        return np.full(self._pf_shape, math.log2(self.device.res_ub / ips))
+
+    def initial_perf_norm(self) -> float:
+        """Aggregate performance of the uniform-weights starting point at
+        the initial parallel factors; stored and used to scale block perfs
+        into accuracy-loss range."""
         n, m, q = self.space.num_blocks, self.space.num_ops, len(self.space.quant)
         theta_w = Tensor(np.full((n, m), 1.0 / m))
         terms = self.terms(theta_w, Tensor(np.full(q, 1.0 / q)))
+        pf0 = self.initial_pf()
         self.perf_norm = 1.0
         out = self.apply_pf(theta_w, terms, None if pf0 is None else Tensor(pf0))
         self.perf_norm = self._aggregate(Tensor(out.block_perfs_norm)).item()

@@ -20,8 +20,7 @@ import numpy as np
 from . import data as datamod
 from .costmodel import CostHyperparams, CostModel, DeviceModel
 from .search import (DerivedDesign, SearchConfig, config_hash,
-                     initial_parallel_factors, retune_parallel_factors,
-                     train_path)
+                     retune_parallel_factors, train_path)
 from .supernet import SearchSpace, Supernet
 from .tensorcore import NonFiniteError
 
@@ -81,6 +80,10 @@ class OracleProtocol:
             value = getattr(self, name)
             if value < 1:
                 raise OracleError(f"{name} must be >= 1, got {value}")
+        for name in ("lr", "retune_lr"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise OracleError(f"{name} must be > 0, got {value}")
 
 
 def enumerate_configs(space: SearchSpace, device: DeviceModel,
@@ -195,8 +198,11 @@ def _train_acc_loss(config: SearchConfig, protocol: OracleProtocol,
 
 def evaluate_config_exact(config: SearchConfig, protocol: OracleProtocol,
                           discrete: DiscreteConfig, train, val,
-                          perf_norm: float) -> RankedEntry:
-    space, device, hyper = config.space, config.device, config.hyper
+                          cm: CostModel) -> RankedEntry:
+    """One ranked entry: the protocol's accuracy, then the parallel factors
+    retuned on `cm` (shared read-only by every config of a ranking) from
+    its start, scored by the long-hand cost arithmetic."""
+    device = config.device
     acc_loss = _train_acc_loss(config, protocol, discrete, train, val)
 
     if device.kind == "gpu_table":
@@ -204,20 +210,18 @@ def evaluate_config_exact(config: SearchConfig, protocol: OracleProtocol,
         pfs = None
     else:
         ops = list(discrete.op_indices)
-        layout = CostModel(space, device, hyper)
-        pf0 = initial_parallel_factors(device, space)[layout.pf_index(ops)]
+        pf0 = cm.initial_pf()[cm.pf_index(ops)]
         seed_design = DerivedDesign(device.kind, ops, list(discrete.bit_widths),
                                     np.rint(pf0).astype(int).tolist(),
                                     device.shared_precision)
         retuned = retune_parallel_factors(
-            seed_design, space, device, hyper, perf_norm,
-            steps=protocol.retune_steps, lr=protocol.retune_lr)
+            seed_design, cm, steps=protocol.retune_steps, lr=protocol.retune_lr)
         tuned = DiscreteConfig(discrete.op_indices, discrete.bit_widths,
                                tuple(retuned.parallel_factors))
-        pfs = layout.layout_pfs(ops, retuned.parallel_factors)
+        pfs = cm.layout_pfs(ops, retuned.parallel_factors)
 
     perf_loss, resource, penalty = exact_vertex_costs(
-        space, device, hyper, perf_norm, discrete.op_indices,
+        config.space, device, cm.hyper, cm.perf_norm, discrete.op_indices,
         discrete.bit_widths, pfs)
     return RankedEntry(
         config=tuned,
@@ -236,14 +240,13 @@ def rank_configs(config: SearchConfig, protocol: OracleProtocol = None,
     if dataset is None:
         dataset = datamod.generate_dataset(config.data)
     train, val, _ = datamod.split(dataset, config.fractions, config.data.seed)
-    pf0 = initial_parallel_factors(config.device, config.space)
     cm = CostModel(config.space, config.device, config.hyper)
-    perf_norm = cm.initial_perf_norm(pf0)
+    cm.initial_perf_norm()
 
     def job(discrete):
         try:
             return evaluate_config_exact(config, protocol, discrete, train,
-                                         val, perf_norm), None
+                                         val, cm), None
         except NonFiniteError as exc:
             return None, (discrete, f"training diverged: {exc}")
 
@@ -265,5 +268,5 @@ def rank_configs(config: SearchConfig, protocol: OracleProtocol = None,
         entries=[entries[idx] for idx in order],
         excluded=excluded,
         config_hash=config_hash(config),
-        perf_norm=perf_norm,
+        perf_norm=cm.perf_norm,
     )

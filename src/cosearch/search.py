@@ -13,22 +13,19 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import data as datamod
 from . import tensorcore as tc
-from .costmodel import CostHyperparams, CostModel, DeviceModel, GpuLatencyTable
-from .supernet import QuantLevels, SearchSpace, Supernet
+from .costmodel import (CostHyperparams, CostModel, DeviceModel,
+                        GpuLatencyTable, InfeasibleError)
+from .supernet import SearchSpace, Supernet
 from .tensorcore import NonFiniteError, Parameter, Tape, Tensor
 
 
 class SearchError(Exception):
-    pass
-
-
-class InfeasibleError(SearchError):
     pass
 
 
@@ -75,29 +72,32 @@ class SGD:
 
 
 class Adam:
+    """Adam over one flat buffer of all its parameters; elementwise, so one
+    update per step gives the bits of one update per parameter."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._m = [np.zeros_like(p.values) for p in self.params]
-        self._v = [np.zeros_like(p.values) for p in self.params]
+        self._flat = tc.FlatParameters(self.params)
+        self._m = np.zeros_like(self._flat.values)
+        self._v = np.zeros_like(self._flat.values)
         self._t = 0
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self._flat.grad[...] = 0.0
 
     def step(self):
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self._m, self._v):
-            m *= b1
-            m += (1 - b1) * p.grad
-            v *= b2
-            v += (1 - b2) * p.grad ** 2
-            m_hat = m / (1 - b1 ** self._t)
-            v_hat = v / (1 - b2 ** self._t)
-            p.assign(p.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        b1, b2, grad = self.beta1, self.beta2, self._flat.grad
+        self._m *= b1
+        self._m += (1 - b1) * grad
+        self._v *= b2
+        self._v += (1 - b2) * grad ** 2
+        m_hat = self._m / (1 - b1 ** self._t)
+        v_hat = self._v / (1 - b2 ** self._t)
+        self._flat.assign(self._flat.values
+                          - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
 
 # -- configuration ----------------------------------------------------------------
@@ -134,8 +134,10 @@ class SearchConfig:
             value = getattr(self, name)
             if value < least:
                 raise SearchError(f"{name} must be >= {least}, got {value}")
-        if min(self.lr_weights, self.lr_arch, self.lr_pf) <= 0:
-            raise SearchError("learning rates must be positive")
+        for name in ("lr_weights", "lr_arch", "lr_pf", "retune_lr"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise SearchError(f"{name} must be > 0, got {value}")
         if not (self.tau_start >= self.tau_end > 0):
             raise SearchError(
                 f"need tau_start >= tau_end > 0, got {self.tau_start}, {self.tau_end}")
@@ -146,25 +148,6 @@ class SearchConfig:
             return self.tau_start
         frac = epoch / (self.epochs - 1)
         return self.tau_start * (self.tau_end / self.tau_start) ** frac
-
-
-def initial_parallel_factors(device: DeviceModel, space: SearchSpace):
-    """log2(budget / #IPs): every IP starts with an equal resource slice."""
-    if device.kind == "gpu_table":
-        return None
-    m = space.num_ops
-    if device.kind == "fpga_recursive":
-        if device.res_ub <= m:
-            raise InfeasibleError(
-                f"resource bound {device.res_ub} <= {m} ops: initial parallel "
-                f"factor would not be positive")
-        return np.full(m, math.log2(device.res_ub / m))
-    n = space.num_blocks
-    if device.res_ub <= m * n:
-        raise InfeasibleError(
-            f"resource bound {device.res_ub} <= {m * n} per-block IPs: initial "
-            f"parallel factor would not be positive")
-    return np.full((n, m), math.log2(device.res_ub / (m * n)))
 
 
 @dataclass
@@ -184,9 +167,9 @@ def initialize(config: SearchConfig) -> SearchState:
     net = Supernet(config.space, seed=config.seed,
                    shared_precision=device.shared_precision)
     cm = CostModel(config.space, device, config.hyper)
-    pf0 = initial_parallel_factors(device, config.space)
+    pf0 = cm.initial_pf()
     pf = Parameter(pf0) if pf0 is not None else None
-    cm.initial_perf_norm(pf0)
+    cm.initial_perf_norm()
     arch_params = net.arch_parameters()
     return SearchState(
         config=config,
@@ -268,17 +251,11 @@ class DerivedDesign:
         return self.bit_widths[0] if self.shared_precision else None
 
 
-def _vertex_model(space, device, hyper, bits):
-    """A cost model over `space` whose bit-width levels include every width
-    of a design; library callers may pass widths the space does not list."""
-    levels = tuple(sorted(set(space.quant.bit_widths) | set(bits)))
-    return CostModel(replace(space, quant=QuantLevels(levels)), device, hyper)
-
-
 def predict_discrete(space, device, ops, bits, pfs):
     """Exact metrics of a discrete design: the cost model at its one-hot
-    weights, with perf_norm 1 so that block perfs are latencies."""
-    cm = _vertex_model(space, device, None, bits)
+    weights, with perf_norm 1 so that block perfs are latencies.  A design
+    outside `space` raises SpaceError naming the block."""
+    cm = CostModel(space, device)
     theta_w, phi_w = cm.vertex_weights(ops, bits)
     pf = cm.layout_pfs(ops, pfs)
     out = cm.apply_pf(theta_w, cm.terms(theta_w, phi_w),
@@ -318,23 +295,23 @@ def derive_architecture(state: SearchState) -> DerivedDesign:
     return design
 
 
-def retune_parallel_factors(design: DerivedDesign, space: SearchSpace,
-                            device: DeviceModel, hyper: CostHyperparams,
-                            perf_norm: float, steps=SearchConfig.retune_steps,
+def retune_parallel_factors(design: DerivedDesign, cm: CostModel,
+                            steps=SearchConfig.retune_steps,
                             lr=SearchConfig.retune_lr) -> DerivedDesign:
-    """Re-optimize the parallel factors of a fixed discrete architecture.
+    """Re-optimize the parallel factors of a fixed discrete architecture
+    against `cm`'s hyperparameters and perf_norm; `cm` is left as it was.
 
     The cost terms come once from the design's one-hot weights; each step
     of the continuous descent on performance + penalty redoes only the pf
     half, in the device's pf layout (unused IPs get no gradient).  Then
     rounding, and a greedy repair that lowers the factor with the least
-    latency regret by one until the resource budget holds.
+    latency regret by one until the resource budget holds.  A design
+    outside the space raises SpaceError naming the block.
     """
+    space, device, perf_norm = cm.space, cm.device, cm.perf_norm
     if device.kind == "gpu_table":
         raise SearchError("parallel factors exist only for FPGA devices")
     ops, bits = design.op_indices, design.bit_widths
-    cm = _vertex_model(space, device, hyper, bits)
-    cm.perf_norm = perf_norm
     theta_w, phi_w = cm.vertex_weights(ops, bits)
     terms = cm.terms(theta_w, phi_w)
     start = cm.layout_pfs(ops, design.parallel_factors)
@@ -392,8 +369,7 @@ def retune_parallel_factors(design: DerivedDesign, space: SearchSpace,
 
 def retune_impl(design: DerivedDesign, state: SearchState) -> DerivedDesign:
     cfg = state.config
-    return retune_parallel_factors(design, cfg.space, cfg.device, cfg.hyper,
-                                   state.costmodel.perf_norm,
+    return retune_parallel_factors(design, state.costmodel,
                                    steps=cfg.retune_steps, lr=cfg.retune_lr)
 
 
@@ -410,7 +386,7 @@ class SearchReport:
     wall_clock_seconds: float = 0.0  # informational; not serialized canonically
 
 
-def run_search(config: SearchConfig, dataset=None, on_epoch=None) -> SearchReport:
+def run_search(config: SearchConfig, dataset=None) -> SearchReport:
     """initialize -> epochs x bilevel steps (annealed tau) -> derive ->
     re-tune.  Returns the trajectory and the final design; on numerical
     abort the partial trajectory is preserved on the raised error."""
@@ -447,7 +423,7 @@ def run_search(config: SearchConfig, dataset=None, on_epoch=None) -> SearchRepor
             raise SearchError(
                 f"no batches available (dataset too small for batch size "
                 f"{config.batch_size})")
-        row = {
+        epoch_rows.append({
             "epoch": epoch,
             "tau": tau,
             "train_acc_loss": float(sums[0] / steps),
@@ -455,13 +431,7 @@ def run_search(config: SearchConfig, dataset=None, on_epoch=None) -> SearchRepor
             "perf_loss": float(sums[2] / steps),
             "resource": float(sums[3] / steps),
             "total_loss": float(sums[4] / steps),
-        }
-        epoch_rows.append(row)
-        if on_epoch is not None:
-            quiet = state.costmodel.assemble(state.supernet.theta,
-                                             state.supernet.phi, state.pf,
-                                             tau, rng=None)
-            on_epoch(row, quiet)
+        })
     design = None
     if aborted is None:
         design = derive_architecture(state)

@@ -127,10 +127,10 @@ class SearchSpace:
         w_out = (w + 1) // 2 if stride == 2 else w
         return c_in, c_out, h, w, h_out, w_out, stride
 
-    def check_design(self, design):
+    def check_design(self, ops, bits):
         """Raise SpaceError naming the first block of a discrete design
         whose op index or bit-width is outside this space."""
-        ops, bits = list(design.op_indices), list(design.bit_widths)
+        ops, bits = list(ops), list(bits)
         n, m_max = self.num_blocks, self.num_ops
         if len(ops) != n or len(bits) != n:
             raise SpaceError(f"design has {len(ops)} blocks, space has {n}")
@@ -326,7 +326,7 @@ class Supernet:
 
     def forward_infer(self, design, images):
         """Deterministic single-path logits for a derived design."""
-        self.space.check_design(design)
+        self.space.check_design(design.op_indices, design.bit_widths)
         x = self._stem(images)
         for i in range(self.space.num_blocks):
             x = self._run_op(x, i, design.op_indices[i], design.bit_widths[i])

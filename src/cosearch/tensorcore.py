@@ -201,9 +201,6 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.values)
         self.packed = False
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
     def assign(self, values):
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != self.values.shape:

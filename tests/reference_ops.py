@@ -7,13 +7,19 @@
 - `forward_soft`, the noise-free fully-soft supernet pass of the
   gradient-fidelity harness (criterion 1);
 - `baseline_convnet_accuracy` and `linear_probe_accuracy`, the dataset
-  calibration baselines.
+  calibration baselines;
+- `initial_parallel_factors`, the starting parallel factors written out
+  per device kind, as the search worked them out before `CostModel`
+  owned them.
 """
+
+import math
 
 import numpy as np
 
 from cosearch import data as datamod
 from cosearch import tensorcore as tc
+from cosearch.costmodel import InfeasibleError
 from cosearch.search import SGD, Adam
 
 
@@ -53,7 +59,7 @@ def finite_diff_check(loss_fn, params, eps=1e-5):
     if eps <= 0:
         raise ValueError(f"finite_diff_check: eps must be positive, got {eps}")
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
     with tc.Tape() as tape:
         loss = loss_fn()
         tape.backward(loss)
@@ -150,3 +156,22 @@ def linear_probe_accuracy(train, heldout, epochs=30, lr=0.01, seed=0) -> float:
     pred = np.argmax(heldout.images.reshape(len(heldout), -1) @ w.values
                      + b.values, axis=1)
     return float((pred == heldout.labels).mean())
+
+
+def initial_parallel_factors(device, space):
+    """log2(budget / #IPs): every IP starts with an equal resource slice."""
+    if device.kind == "gpu_table":
+        return None
+    m = space.num_ops
+    if device.kind == "fpga_recursive":
+        if device.res_ub <= m:
+            raise InfeasibleError(
+                f"resource bound {device.res_ub} <= {m} ops: initial parallel "
+                f"factor would not be positive")
+        return np.full(m, math.log2(device.res_ub / m))
+    n = space.num_blocks
+    if device.res_ub <= m * n:
+        raise InfeasibleError(
+            f"resource bound {device.res_ub} <= {m * n} per-block IPs: initial "
+            f"parallel factor would not be positive")
+    return np.full((n, m), math.log2(device.res_ub / (m * n)))

@@ -6,6 +6,7 @@ lines and timings.
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ import pytest
 from cosearch import cli
 from cosearch import data as datamod
 from cosearch import oracle as om
+from cosearch import search
 from cosearch import tensorcore as tc
 from cosearch.costmodel import (CostHyperparams, CostModel, DeviceModel,
                                 LayerGeom, psi, phi_cal, reference_gpu_table)
-from cosearch.search import (SearchConfig, initial_parallel_factors,
-                             retrain_design, run_search)
+from cosearch.search import SearchConfig, retrain_design, run_search
 from cosearch.supernet import PhiArray, QuantLevels, SearchSpace, Supernet
 from cosearch.tensorcore import Parameter, Tape, Tensor
 from reference_ops import (baseline_convnet_accuracy, finite_diff_check,
@@ -84,8 +85,8 @@ class TestCriterion1GradientFidelity:
             net = Supernet(space, seed=seed,
                            shared_precision=device.shared_precision)
             cm = CostModel(space, device, hyper)
-            pf0 = initial_parallel_factors(device, space)
-            cm.initial_perf_norm(pf0)
+            pf0 = cm.initial_pf()
+            cm.initial_perf_norm()
             net.theta.assign(rng.normal(0, 1.0, net.theta.values.shape))
             p = net.phi.parameters()[0]
             p.assign(rng.normal(0, 1.0, p.values.shape))
@@ -149,8 +150,7 @@ class TestCriterion3VertexConsistency:
         device = DeviceModel.fpga_recursive(96.0)
         hyper = CostHyperparams(res_norm=96.0)
         cm = CostModel(space, device, hyper)
-        pf0 = initial_parallel_factors(device, space)
-        perf_norm = cm.initial_perf_norm(pf0)
+        perf_norm = cm.initial_perf_norm()
         bits = space.quant.bit_widths
         rng = np.random.default_rng(0)
         worst = 0.0
@@ -227,11 +227,11 @@ class TestCriterion6DeviceContracts:
                             downsample_blocks=(2,), num_classes=4)
         device = DeviceModel.gpu(reference_gpu_table(space))
         cm = CostModel(space, device, CostHyperparams())
-        cm.initial_perf_norm(None)
+        cm.initial_perf_norm()
         theta = Parameter(np.random.default_rng(0).normal(size=(2, 2)))
         phi = PhiArray(2, 2, 2, shared_precision=True)
         stray_pf = Parameter(np.ones(2))
-        stray_pf.zero_grad()
+        stray_pf.grad[...] = 0.0
         with Tape() as tape:
             out = cm.assemble(theta, phi, None, tau=1.0)
             tape.backward(cm.total_loss(Tensor(1.0), out.perf_loss,
@@ -263,15 +263,22 @@ class TestCriterion6DeviceContracts:
             epochs=4, steps_per_epoch=3, batch_size=8, seed=3)
         checked = []
 
-        def on_epoch(row, quiet):
+        def checked_step(state, train_batch, val_batch, tau):
+            metrics = real_step(state, train_batch, val_batch, tau)
+            quiet = state.costmodel.assemble(state.supernet.theta,
+                                             state.supernet.phi, state.pf, tau)
             perfs = quiet.block_perfs_norm
             lse_over_alpha = quiet.perf_loss.item() / config.hyper.alpha
             assert max(perfs) <= lse_over_alpha + 1e-12
             assert lse_over_alpha <= max(perfs) + math.log(len(perfs)) + 1e-12
-            checked.append(row["epoch"])
+            checked.append(tau)
+            return metrics
 
-        run_search(config, on_epoch=on_epoch)
-        assert checked == [0, 1, 2, 3]
+        real_step = search.bilevel_step
+        with mock.patch.object(search, "bilevel_step", checked_step):
+            report = run_search(config)
+        # after every step, so at the end of every epoch
+        assert checked == [row["tau"] for row in report.epochs for _ in range(3)]
         _report("criterion 6b: pipelined perf loss within LSE bounds on every "
                 "epoch", started)
 

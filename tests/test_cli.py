@@ -23,6 +23,7 @@ search:
   batch_size: 8
   seed: 1
   retune_steps: 120
+  retune_lr: 0.03
   retrain_epochs: 2
 space:
   blocks: 2
@@ -206,13 +207,14 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("steps_per_epoch", 0), ("batch_size", 0), ("retrain_epochs", 0),
-        ("retune_steps", -1),
+        ("retune_steps", -1), ("retune_lr", -0.03), ("retune_lr", 0.0),
     ])
     def test_bad_run_count_is_a_config_error(self, tmp_path, capsys, key,
                                              value):
         path = tmp_path / "bad.yaml"
-        path.write_text(re.sub(rf"{key}: \d+", f"{key}: {value}",
-                               SMALL_YAML.format(out=tmp_path / "o")))
+        text = SMALL_YAML.format(out=tmp_path / "o")
+        path.write_text(re.sub(rf"{key}: [\d.]+\n", f"{key}: {value}\n", text))
+        assert path.read_text() != text
         assert cli.main(["search", "-c", str(path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
@@ -234,6 +236,26 @@ class TestSearchCommand:
         assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["search"], "-c/--config"),
+        (["search", "-c", "{cfg}", "--bogus"], "--bogus"),
+        (["search", "-c", "{cfg}", "--seed", "3", "--seeds", "1..2"],
+         "not allowed with argument"),
+        (["frobnicate"], "invalid choice"),
+    ], ids=["no-config", "unknown-flag", "seed-and-seeds", "unknown-command"])
+    def test_usage_error_is_a_config_error(self, small_cfg, tmp_path, capsys,
+                                           argv, named):
+        argv = [a.format(cfg=small_cfg) for a in argv]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]],
+                             ids=["top", "search"])
+    def test_help_exits_zero(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_OK
+        assert "usage: cosearch" in capsys.readouterr().out
 
     def test_numerical_abort_exit_code_and_partial_report(self, tmp_path):
         path = tmp_path / "explode.yaml"

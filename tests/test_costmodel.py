@@ -8,13 +8,14 @@ from cosearch import oracle as om
 from cosearch import tensorcore as tc
 from cosearch.costmodel import (DEVICE_KINDS, CostError, CostHyperparams,
                                 CostModel, DeviceModel, GpuLatencyTable,
-                                LayerGeom, MissingEntryError, mbconv_layers,
-                                op_work, phi_cal, psi, reference_gpu_table)
+                                InfeasibleError, LayerGeom, MissingEntryError,
+                                mbconv_layers, op_work, phi_cal, psi,
+                                reference_gpu_table)
 from cosearch.search import predict_discrete
 from cosearch.supernet import PhiArray, QuantLevels, SearchSpace
 from cosearch.tensorcore import Parameter, Tape, Tensor
 
-from reference_ops import finite_diff_check, stack
+from reference_ops import finite_diff_check, initial_parallel_factors, stack
 
 
 def fpga_space(**kw):
@@ -364,7 +365,7 @@ class TestAssembleGradients:
                 pf = Parameter(rng.uniform(1, 5, (2, 2)))
             else:
                 pf = None
-            cm.initial_perf_norm(None if pf is None else pf.values)
+            cm.initial_perf_norm()
             tau = float(rng.uniform(0.5, 3.0))
             acc = float(rng.uniform(0.5, 2.0))
 
@@ -378,12 +379,12 @@ class TestAssembleGradients:
     def test_gpu_pf_gradient_identically_zero(self):
         space = fpga_space(quant=QuantLevels((8, 16)))
         cm = CostModel(space, DeviceModel.gpu(reference_gpu_table(space)))
-        cm.initial_perf_norm(None)
+        cm.initial_perf_norm()
         theta = Parameter(np.random.default_rng(0).normal(size=(2, 2)))
         phi = PhiArray(2, 2, 2, shared_precision=True)
         stray_pf = Parameter(np.ones(2))  # not wired into the gpu model
-        stray_pf.zero_grad()
-        theta.zero_grad()
+        stray_pf.grad[...] = 0.0
+        theta.grad[...] = 0.0
         with Tape() as tape:
             out = cm.assemble(theta, phi, None, tau=1.0)
             loss = cm.total_loss(Tensor(1.0), out.perf_loss, out.resource)
@@ -509,6 +510,30 @@ def random_state(cm, seed):
     return theta, phi, pf, params, float(rng.uniform(0.1, 5.0))
 
 
+class TestInitialPf:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("fpga_recursive",
+                                                 "fpga_pipelined")),
+           n=st.integers(1, 9), m=st.integers(1, 12), q=st.integers(1, 4))
+    def test_equals_the_per_kind_formula(self, data, kind, n, m, q):
+        cm = random_cost_model(data, kind, n, m, q)
+        ips = m if kind == "fpga_recursive" else n * m
+        # half the draws sit at or below one DSP per IP, where no start exists
+        res_ub = data.draw(st.one_of(st.floats(0.5, float(ips)),
+                                     st.floats(float(ips), 4096.0)))
+        if data.draw(st.booleans(), label="exactly one DSP per IP"):
+            res_ub = float(ips)
+        cm = CostModel(cm.space, DeviceModel(kind=kind, res_ub=res_ub))
+        try:
+            want = initial_parallel_factors(cm.device, cm.space)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError, match=f"<= {ips} IPs"):
+                cm.initial_pf()
+            return
+        got = cm.initial_pf()
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 class TestArrayAssembleMatchesScalarLoop:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(DEVICE_KINDS),
@@ -517,13 +542,13 @@ class TestArrayAssembleMatchesScalarLoop:
     def test_values_gradients_and_noise(self, data, kind, n, m, q, seed, noisy):
         cm = random_cost_model(data, kind, n, m, q)
         theta, phi, pf, params, tau = random_state(cm, seed)
-        cm.initial_perf_norm(None if pf is None else pf.values)
+        cm.perf_norm = data.draw(st.floats(1.0, 1e6))
 
         def run(fn, output):
             """(outputs, gradients of `output`, next draw) of one call."""
             rng = np.random.default_rng(seed) if noisy else None
             for p in params:
-                p.zero_grad()
+                p.grad[...] = 0.0
             with Tape() as tape:
                 outs = fn(cm, theta, phi, pf, tau, rng=rng)
                 tape.backward(outs[output])

@@ -6,7 +6,7 @@ from cosearch import data as datamod
 from cosearch import oracle as om
 from cosearch.costmodel import (CostHyperparams, CostModel, DeviceModel,
                                 reference_gpu_table)
-from cosearch.search import SearchConfig, initial_parallel_factors
+from cosearch.search import SearchConfig
 from cosearch.supernet import PhiArray, QuantLevels, SearchSpace
 from cosearch.tensorcore import Parameter, Tensor
 
@@ -77,8 +77,7 @@ class TestVertexConsistency:
             device = DeviceModel.fpga_pipelined(96.0)
         hyper = CostHyperparams(res_norm=96.0)
         cm = CostModel(space, device, hyper)
-        pf0 = initial_parallel_factors(device, space)
-        perf_norm = cm.initial_perf_norm(pf0)
+        perf_norm = cm.initial_perf_norm()
         rng = np.random.default_rng(0)
         bits = space.quant.bit_widths
         for cfg in om.enumerate_configs(space, device):
@@ -110,7 +109,7 @@ class TestVertexConsistency:
         config = tiny_config()
         space, device, hyper = config.space, config.device, config.hyper
         cm = CostModel(space, device, hyper)
-        perf_norm = cm.initial_perf_norm(initial_parallel_factors(device, space))
+        perf_norm = cm.initial_perf_norm()
         theta = Parameter(np.array([[30.0, -30.0]]))
         phi = PhiArray(1, 2, 2)
         sat = np.full((1, 2, 2), -30.0)
@@ -128,7 +127,7 @@ class TestVertexConsistency:
         config = tiny_config()
         space, device, hyper = config.space, config.device, config.hyper
         cm = CostModel(space, device, hyper)
-        perf_norm = cm.initial_perf_norm(initial_parallel_factors(device, space))
+        perf_norm = cm.initial_perf_norm()
         pf = np.array([3.0, 3.0])
         p4, _, _ = om.exact_vertex_costs(space, device, hyper, perf_norm,
                                          (0,), (4,), pf)
@@ -140,7 +139,7 @@ class TestVertexConsistency:
         config = tiny_config()
         space, device, hyper = config.space, config.device, config.hyper
         cm = CostModel(space, device, hyper)
-        perf_norm = cm.initial_perf_norm(initial_parallel_factors(device, space))
+        perf_norm = cm.initial_perf_norm()
         pf = np.array([3.0, 3.0])
         perf_o, _, _ = om.exact_vertex_costs(space, device, hyper, perf_norm,
                                              (1,), (8,), pf)
@@ -152,7 +151,8 @@ class TestVertexConsistency:
 class TestProtocol:
     @pytest.mark.parametrize("field, value", [
         ("train_steps", 0), ("batch_size", 0), ("workers", 0),
-        ("workers", -2),
+        ("workers", -2), ("lr", 0.0), ("lr", -0.05), ("retune_lr", -0.03),
+        ("retune_lr", 0.0),
     ])
     def test_counts_validated(self, field, value):
         with pytest.raises(om.OracleError, match=field):
@@ -195,8 +195,11 @@ class TestRanking:
         pooled = om.rank_configs(config, om.OracleProtocol(train_steps=4,
                                                            batch_size=8,
                                                            workers=4))
-        assert [e.total_loss for e in serial.entries] == \
-            [e.total_loss for e in pooled.entries]
+        # the configs' retunes share the ranking's one CostModel
+        assert serial.entries == pooled.entries
+        assert all(e.config.parallel_factors for e in serial.entries)
+        assert serial.excluded == pooled.excluded == []
+        assert serial.perf_norm == pooled.perf_norm
 
     def test_scale_invariance_of_order(self):
         # multiplying block perfs by c while dividing alpha by c leaves the

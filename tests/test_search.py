@@ -17,10 +17,10 @@ from cosearch.costmodel import (CostHyperparams, CostModel, DeviceModel,
                                 reference_gpu_table)
 from cosearch.search import (DerivedDesign, InfeasibleError, SearchAbort,
                              SearchConfig, SearchError, bilevel_step,
-                             config_hash, derive_architecture,
-                             initial_parallel_factors, initialize,
-                             retune_parallel_factors, run_search)
-from cosearch.supernet import QuantLevels, SearchSpace
+                             config_hash, derive_architecture, initialize,
+                             predict_discrete, retune_parallel_factors,
+                             run_search)
+from cosearch.supernet import QuantLevels, SearchSpace, SpaceError
 from cosearch.tensorcore import NonFiniteError, Parameter, Tape, Tensor
 
 from reference_ops import stack
@@ -53,7 +53,7 @@ class TestInitialization:
     def test_recursive_pf0(self):
         space = SearchSpace(kernel_sizes=(3, 5, 7), expansion_ratios=(4, 5, 6),
                             channel_plan=(8, 16, 16, 32))
-        pf0 = initial_parallel_factors(DeviceModel.fpga_recursive(900), space)
+        pf0 = CostModel(space, DeviceModel.fpga_recursive(900)).initial_pf()
         assert pf0.shape == (9,)
         assert pf0[0] == pytest.approx(math.log2(100), abs=1e-12)
         assert pf0[0] == pytest.approx(6.644, abs=5e-4)
@@ -62,21 +62,21 @@ class TestInitialization:
         space = SearchSpace(
             num_blocks=20, kernel_sizes=(3, 5, 7), expansion_ratios=(4, 5, 6),
             channel_plan=(8,) * 20, downsample_blocks=())
-        pf0 = initial_parallel_factors(DeviceModel.fpga_pipelined(900), space)
+        pf0 = CostModel(space, DeviceModel.fpga_pipelined(900)).initial_pf()
         assert pf0.shape == (20, 9)
         assert pf0[0, 0] == pytest.approx(math.log2(5), abs=1e-12)
 
     def test_gpu_allocates_no_pf(self):
         space = small_space(quant=QuantLevels((8, 16)))
         device = DeviceModel.gpu(reference_gpu_table(space))
-        assert initial_parallel_factors(device, space) is None
+        assert CostModel(space, device).initial_pf() is None
 
     def test_infeasible_bound_rejected(self):
         space = small_space()  # M=2
         with pytest.raises(InfeasibleError):
-            initial_parallel_factors(DeviceModel.fpga_recursive(2.0), space)
+            CostModel(space, DeviceModel.fpga_recursive(2.0)).initial_pf()
         with pytest.raises(InfeasibleError):
-            initial_parallel_factors(DeviceModel.fpga_pipelined(4.0), space)
+            CostModel(space, DeviceModel.fpga_pipelined(4.0)).initial_pf()
 
     def test_zero_init_uniform_weights(self):
         state = initialize(small_config())
@@ -96,7 +96,8 @@ class TestInitialization:
 
     @pytest.mark.parametrize("field, value", [
         ("steps_per_epoch", 0), ("batch_size", 0), ("batch_size", -8),
-        ("retrain_epochs", 0), ("retune_steps", -1),
+        ("retrain_epochs", 0), ("retune_steps", -1), ("retune_lr", 0.0),
+        ("retune_lr", -0.03), ("retune_lr", math.nan),
     ])
     def test_run_counts_validated(self, field, value):
         with pytest.raises(SearchError, match=field):
@@ -222,6 +223,61 @@ class TestFlatSGD:
         opt = search.SGD([], lr=0.1, momentum=0.9)
         opt.zero_grad()
         opt.step()
+
+
+def reference_adam_step(params, ms, vs, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam.step as it ran before the flat buffer: one update per
+    parameter, each with its own moment arrays; `t` is the new step count."""
+    for p, m, v in zip(params, ms, vs):
+        m *= b1
+        m += (1 - b1) * p.grad
+        v *= b2
+        v += (1 - b2) * p.grad ** 2
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        p.assign(p.values - lr * m_hat / (np.sqrt(v_hat) + eps))
+
+
+class TestFlatAdam:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           shapes=st.lists(st.lists(st.integers(1, 4), max_size=3),
+                           min_size=1, max_size=8),
+           lr=st.sampled_from((0.03, 0.05, 1.0)),
+           scale=st.sampled_from((1e-12, 1.0, 1e6)))
+    def test_bitwise_equal_to_per_parameter_step(self, data, shapes, lr, scale):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        start = [rng.normal(size=s) for s in shapes]
+        params = [Parameter(v) for v in start]
+        ref = [Parameter(v) for v in start]
+        ms, vs = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        opt = search.Adam(params, lr=lr)
+        steps = data.draw(st.integers(1, 5))
+        for t in range(1, steps + 1):
+            grads = [np.asarray(rng.normal(size=s) * scale) for s in shapes]
+            if data.draw(st.booleans(), label="a zero gradient"):
+                grads[data.draw(st.integers(0, len(grads) - 1))][...] = 0.0
+            opt.zero_grad()
+            for p, r, g in zip(params, ref, grads):
+                p.grad += g
+                r.grad[...] = g
+            opt.step()
+            reference_adam_step(ref, ms, vs, t, lr)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p.values, r.values)
+            assert np.array_equal(opt._m, np.concatenate([m.ravel() for m in ms]))
+            assert np.array_equal(opt._v, np.concatenate([v.ravel() for v in vs]))
+
+    def test_non_finite_update_writes_nothing(self):
+        params = [Parameter(np.ones((2, 3))), Parameter(np.arange(4.0))]
+        opt = search.Adam(params, lr=0.1)
+        before = [p.values.copy() for p in params]
+        params[0].grad[...] = 1.0
+        params[1].grad[2] = np.nan
+        with pytest.raises(NonFiniteError, match="'assign'"):
+            opt.step()
+        for b, p in zip(before, params):
+            assert np.array_equal(b, p.values)
 
 
 class TestBilevelStep:
@@ -408,26 +464,23 @@ class TestRetune:
         device = DeviceModel.fpga_recursive(32.0)
         hyper = CostHyperparams(res_norm=32.0)
         cm = CostModel(space, device, hyper)
-        pf0 = initial_parallel_factors(device, space)
-        perf_norm = cm.initial_perf_norm(pf0)
+        pf0 = cm.initial_pf()
+        cm.initial_perf_norm()
         design = DerivedDesign("fpga_recursive", [0], [16],
                                [int(round(pf0[0]))], False)
-        tuned = retune_parallel_factors(design, space, device, hyper, perf_norm)
+        tuned = retune_parallel_factors(design, cm)
         assert tuned.parallel_factors == [5]
         assert tuned.predicted["resource"] == 32.0
 
     def test_doubling_budget_never_hurts(self):
-        space = small_space()
+        space = small_space(quant=QuantLevels((4, 8, 16)))
         design = DerivedDesign("fpga_recursive", [0, 1], [8, 16], [3, 3], False)
         lat = {}
         for bound in (32.0, 64.0):
             device = DeviceModel.fpga_recursive(bound)
-            hyper = CostHyperparams(res_norm=bound)
-            cm = CostModel(space, device, hyper)
-            perf_norm = cm.initial_perf_norm(
-                initial_parallel_factors(device, space))
-            tuned = retune_parallel_factors(design, space, device, hyper,
-                                            perf_norm)
+            cm = CostModel(space, device, CostHyperparams(res_norm=bound))
+            cm.initial_perf_norm()
+            tuned = retune_parallel_factors(design, cm)
             lat[bound] = tuned.predicted["latency_total"]
         assert lat[64.0] <= lat[32.0]
 
@@ -436,37 +489,62 @@ class TestRetune:
         device = DeviceModel(kind="fpga_recursive", res_ub=64.0, pf_max=5.0)
         hyper = CostHyperparams(res_norm=64.0)
         cm = CostModel(space, device, hyper)
-        perf_norm = cm.initial_perf_norm(initial_parallel_factors(device, space))
+        cm.initial_perf_norm()
         design = DerivedDesign("fpga_recursive", [0, 0], [4, 4], [3, 3], False)
-        tuned = retune_parallel_factors(design, space, device, hyper, perf_norm)
+        tuned = retune_parallel_factors(design, cm)
         assert tuned.parallel_factors == [5, 5]
         assert tuned.predicted["resource"] == 0.0
 
     def test_infeasible_budget_reported(self):
-        space = small_space()
+        space = small_space(quant=QuantLevels((4, 8, 16)))
         device = DeviceModel.fpga_pipelined(0.6)  # < sum of psi at 8-bit
-        hyper = CostHyperparams(res_norm=1.0)
+        cm = CostModel(space, device, CostHyperparams(res_norm=1.0))
         design = DerivedDesign("fpga_pipelined", [0, 0], [16, 16], [0, 0], False)
         with pytest.raises(InfeasibleError):
-            retune_parallel_factors(design, space, device, hyper, 1.0)
+            retune_parallel_factors(design, cm)
 
     def test_gpu_mode_rejected(self):
         space = small_space(quant=QuantLevels((8, 16)))
         device = DeviceModel.gpu(reference_gpu_table(space))
         design = DerivedDesign("gpu_table", [0, 0], [8, 8], None, True)
         with pytest.raises(SearchError):
-            retune_parallel_factors(design, space, device,
-                                    CostHyperparams(), 1.0)
+            retune_parallel_factors(design, CostModel(space, device))
 
     def test_repair_enforces_budget(self):
-        space = small_space()
+        space = small_space(quant=QuantLevels((4, 8, 16)))
         device = DeviceModel.fpga_pipelined(12.0)
-        hyper = CostHyperparams(res_norm=12.0)
-        cm = CostModel(space, device, hyper)
-        perf_norm = cm.initial_perf_norm(initial_parallel_factors(device, space))
+        cm = CostModel(space, device, CostHyperparams(res_norm=12.0))
+        cm.initial_perf_norm()
         design = DerivedDesign("fpga_pipelined", [0, 1], [16, 16], [5, 5], False)
-        tuned = retune_parallel_factors(design, space, device, hyper, perf_norm)
+        tuned = retune_parallel_factors(design, cm)
         assert tuned.predicted["resource"] <= 12.0
+
+    @pytest.mark.parametrize("kind", ["fpga_recursive", "fpga_pipelined"])
+    def test_leaves_the_callers_model_unchanged(self, kind):
+        space = small_space(quant=QuantLevels((4, 8, 16)))
+        cm = CostModel(space, DeviceModel(kind=kind, res_ub=12.0),
+                       CostHyperparams(res_norm=12.0))
+        cm.initial_perf_norm()
+        consts = ("_lat", "_psi", "_psi_steps", "_at_least")
+        before = ({c: getattr(cm, c).values.copy() for c in consts},
+                  cm.perf_norm, dataclasses.replace(cm.hyper))
+        design = DerivedDesign(kind, [0, 1], [8, 16], [5, 5], False)
+        retune_parallel_factors(design, cm, steps=50)
+        assert cm.perf_norm == before[1] and cm.hyper == before[2]
+        for c in consts:
+            assert np.array_equal(getattr(cm, c).values, before[0][c])
+            assert not getattr(cm, c).requires_grad
+
+    @pytest.mark.parametrize("kind", ["fpga_recursive", "fpga_pipelined"])
+    def test_bit_width_off_the_menu_names_the_block(self, kind):
+        space = small_space()  # bit widths (4, 8)
+        device = DeviceModel(kind=kind, res_ub=64.0)
+        design = DerivedDesign(kind, [0, 1], [8, 16], [3, 3], False)
+        with pytest.raises(SpaceError, match=r"^block 1: bit_width 16 "):
+            predict_discrete(space, device, design.op_indices,
+                             design.bit_widths, design.parallel_factors)
+        with pytest.raises(SpaceError, match=r"^block 1: bit_width 16 "):
+            retune_parallel_factors(design, CostModel(space, device))
 
 
 def reference_retune(design, space, device, hyper, perf_norm, steps, lr):
@@ -556,16 +634,16 @@ class TestRetuneMatchesScalarObjective:
                                        for o in ops]
         perf_norm = draw(st.floats(1.0, 1e6))
         steps, lr = draw(st.integers(1, 150)), draw(st.floats(0.005, 0.2))
+        cm = CostModel(space, device, hyper)
+        cm.perf_norm = perf_norm
         try:
             want = reference_retune(design, space, device, hyper, perf_norm,
                                     steps, lr)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
-                retune_parallel_factors(design, space, device, hyper,
-                                        perf_norm, steps=steps, lr=lr)
+                retune_parallel_factors(design, cm, steps=steps, lr=lr)
             return
-        tuned = retune_parallel_factors(design, space, device, hyper,
-                                        perf_norm, steps=steps, lr=lr)
+        tuned = retune_parallel_factors(design, cm, steps=steps, lr=lr)
         assert tuned.parallel_factors == want
 
 
@@ -628,7 +706,7 @@ class TestPhaseFreezing:
                 phase.append(name)
                 early_nodes[name] = 0
                 for p in params:
-                    p.zero_grad()
+                    p.grad[...] = 0.0
 
             def step():
                 grads[name] = [p.grad.copy() for p in params]
@@ -734,14 +812,21 @@ class TestRunSearch:
         config = small_config(device=DeviceModel.fpga_pipelined(64.0))
         seen = []
 
-        def check(row, quiet):
+        def check(state, train_batch, val_batch, tau):
+            metrics = real_step(state, train_batch, val_batch, tau)
+            quiet = state.costmodel.assemble(state.supernet.theta,
+                                             state.supernet.phi, state.pf, tau)
             perfs = quiet.block_perfs_norm
             lse = quiet.perf_loss.item()
             assert max(perfs) <= lse <= max(perfs) + math.log(len(perfs)) + 1e-9
-            seen.append(row["epoch"])
+            seen.append(tau)
+            return metrics
 
-        run_search(config, on_epoch=check)
-        assert seen == [0, 1, 2]
+        real_step = search.bilevel_step
+        with mock.patch.object(search, "bilevel_step", check):
+            report = run_search(config)
+        # after every step, so at the end of every epoch
+        assert seen == [row["tau"] for row in report.epochs for _ in range(3)]
 
     def test_hash_excludes_seed(self):
         a = config_hash(small_config(seed=1))

@@ -140,7 +140,7 @@ class TestForwardTrain:
         rng = np.random.default_rng(0)
         x, y = batch(space)
         for p in net.arch_parameters():
-            p.zero_grad()
+            p.grad[...] = 0.0
         with Tape() as tape:
             loss = net.forward_train(x, y, tau=1.0, rng=rng)
             tape.backward(loss)
@@ -153,7 +153,7 @@ class TestForwardTrain:
         rng = np.random.default_rng(0)
         x, y = batch(space)
         for p in net.arch_parameters():
-            p.zero_grad()
+            p.grad[...] = 0.0
         with Tape() as tape:
             loss = net.forward_train(x, y, tau=1.0, rng=rng)
             tape.backward(loss)
@@ -187,7 +187,7 @@ class TestSharedPrecision:
         rng = np.random.default_rng(0)
         x, y = batch(space)
         for p in net.arch_parameters():
-            p.zero_grad()
+            p.grad[...] = 0.0
         with Tape() as tape:
             loss = net.forward_train(x, y, 1.0, rng)
             tape.backward(loss)

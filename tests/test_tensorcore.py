@@ -14,7 +14,7 @@ from reference_ops import finite_diff_check, log, stack, tanh
 
 def backward(loss_fn, params):
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
     with Tape() as tape:
         loss = loss_fn()
         tape.backward(loss)
@@ -451,7 +451,7 @@ class TestDeterminism:
             p = Parameter(np.linspace(-1, 1, 6))
             out = []
             for _ in range(20):
-                p.zero_grad()
+                p.grad[...] = 0.0
                 with Tape() as tape:
                     gs = tc.gumbel_softmax(p, 0.9, rng=rng, hard=True)
                     loss = (gs * Tensor([1., 2, 3, 4, 5, 6])).sum() + (p * p).sum()
