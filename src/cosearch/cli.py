@@ -505,7 +505,8 @@ def cmd_enumerate(args) -> int:
     config = build_search_config(doc, device_kind=args.device)
     protocol = oraclemod.OracleProtocol(
         train_steps=args.train_steps, seed=args.protocol_seed, cap=args.cap,
-        workers=args.workers)
+        workers=args.workers, retune_steps=config.retune_steps,
+        retune_lr=config.retune_lr)
     ranking = oraclemod.rank_configs(config, protocol)
     path = os.path.join(_out_dir(doc, args.output), "ranking.json")
     write_json(path, ranking_document(ranking))

@@ -324,7 +324,13 @@ class CostModel:
 
     def apply_pf(self, theta_w, terms, pf) -> CostOutputs:
         """Perf loss and resource of `terms` at parallel factors `pf` in
-        the device's pf layout (None on the GPU)."""
+        the device's pf layout (None on the GPU).
+
+        The inputs may carry a leading lane axis, one design per lane:
+        L x N x M op weights and latency terms, and the pf with its
+        resource term as L x 1 x M (per op) or L x N x M.  Sums run over
+        the block and op axes only, so each output has one value per lane.
+        """
         lat, res = terms
         if pf is not None:
             lat = lat * tc.pow2(-pf)
@@ -333,9 +339,11 @@ class CostModel:
         if mode == "fixed":
             resource = Tensor(0.0)
         elif mode == "unshared":
-            resource = self.block_costs(theta_w, res * tc.pow2(pf)).sum()
+            resource = self.block_costs(theta_w, res * tc.pow2(pf)).sum(axis=-1)
         else:
-            resource = (res * tc.pow2(pf)).sum()
+            lanes = theta_w.values.ndim - 2
+            resource = (res * tc.pow2(pf)).sum(
+                axis=tuple(range(lanes, pf.values.ndim)))
         return CostOutputs(perf_loss=self.perf_loss(block_perfs_n),
                            resource=resource,
                            block_perfs_norm=block_perfs_n.values.tolist())
@@ -348,11 +356,11 @@ class CostModel:
     def _aggregate(self, block_perfs) -> Tensor:
         if self.device.perf_aggregation == "lse":
             return tc.log_sum_exp(block_perfs)
-        return block_perfs.sum()
+        return block_perfs.sum(axis=-1)
 
     def perf_loss(self, block_perfs) -> Tensor:
         """alpha-scaled sum (latency target) or log-sum-exp (throughput) of
-        the block-perf vector."""
+        the block-perf vector, or of each lane's."""
         return self._aggregate(block_perfs) * Tensor(self.hyper.alpha)
 
     def penalty(self, resource: Tensor) -> Tensor:

@@ -3,9 +3,11 @@
 Enumerates every discrete per-block (op, bit-width) choice, scores each with
 the exact fused objective (accuracy trained under one shared protocol,
 performance/resource from one-hot weights in the cost equations, parallel
-factors re-tuned per configuration) and ranks ascending.  The cost math
-here is written out independently of the costmodel module on purpose: it
-is the anti-drift check for the differentiable path.
+factors re-tuned for every configuration in one batched descent) and ranks
+ascending.  The accuracy table and the cost ranking are separate halves, so
+one table serves any budget or cost model of its precision sharing.  The
+cost math here is written out independently of the costmodel module on
+purpose: it is the anti-drift check for the differentiable path.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class OracleError(Exception):
 class DiscreteConfig:
     op_indices: tuple
     bit_widths: tuple
-    parallel_factors: tuple = None  # filled after per-config retuning
+    parallel_factors: tuple = None  # filled by the cost ranking's retune
 
 
 @dataclass
@@ -197,76 +199,99 @@ def _train_acc_loss(config: SearchConfig, protocol: OracleProtocol,
 
 
 def evaluate_config_exact(config: SearchConfig, protocol: OracleProtocol,
-                          discrete: DiscreteConfig, train, val,
-                          cm: CostModel) -> RankedEntry:
-    """One ranked entry: the protocol's accuracy, then the parallel factors
-    retuned on `cm` (shared read-only by every config of a ranking) from
-    its start, scored by the long-hand cost arithmetic."""
-    device = config.device
-    acc_loss = _train_acc_loss(config, protocol, discrete, train, val)
-
-    if device.kind == "gpu_table":
-        tuned = DiscreteConfig(discrete.op_indices, discrete.bit_widths)
-        pfs = None
-    else:
-        ops = list(discrete.op_indices)
-        pf0 = cm.initial_pf()[cm.pf_index(ops)]
-        seed_design = DerivedDesign(device.kind, ops, list(discrete.bit_widths),
-                                    np.rint(pf0).astype(int).tolist(),
-                                    device.shared_precision)
-        retuned = retune_parallel_factors(
-            seed_design, cm, steps=protocol.retune_steps, lr=protocol.retune_lr)
-        tuned = DiscreteConfig(discrete.op_indices, discrete.bit_widths,
-                               tuple(retuned.parallel_factors))
-        pfs = cm.layout_pfs(ops, retuned.parallel_factors)
-
-    perf_loss, resource, penalty = exact_vertex_costs(
-        config.space, device, cm.hyper, cm.perf_norm, discrete.op_indices,
-        discrete.bit_widths, pfs)
-    return RankedEntry(
-        config=tuned,
-        acc_loss=acc_loss,
-        perf_loss=perf_loss,
-        resource=resource,
-        total_loss=acc_loss * perf_loss + penalty,
-    )
+                          discrete: DiscreteConfig, train, val):
+    """One config's accuracy under the protocol: (acc_loss, None), or
+    (None, reason) when its training diverged."""
+    try:
+        return _train_acc_loss(config, protocol, discrete, train, val), None
+    except NonFiniteError as exc:
+        return None, f"training diverged: {exc}"
 
 
-def rank_configs(config: SearchConfig, protocol: OracleProtocol = None,
-                 dataset=None) -> OracleRanking:
-    """Exhaustive ranking of the whole discrete space, ascending loss."""
+@dataclass
+class AccuracyTable:
+    """Protocol accuracy of every enumerated config.  It depends on the
+    space, data, fractions, protocol and precision sharing only, not on the
+    device's costs or budget, so one table serves every cost ranking."""
+    scores: list  # (DiscreteConfig, acc_loss), in enumeration order
+    excluded: list  # (DiscreteConfig, reason) for diverged trainings
+    shared_precision: bool
+
+
+def accuracy_table(config: SearchConfig, protocol: OracleProtocol = None,
+                   dataset=None) -> AccuracyTable:
+    """Train every enumerated config of `config`'s space by the protocol."""
     protocol = protocol or OracleProtocol()
     configs = enumerate_configs(config.space, config.device, cap=protocol.cap)
     if dataset is None:
         dataset = datamod.generate_dataset(config.data)
     train, val, _ = datamod.split(dataset, config.fractions, config.data.seed)
-    cm = CostModel(config.space, config.device, config.hyper)
-    cm.initial_perf_norm()
 
     def job(discrete):
-        try:
-            return evaluate_config_exact(config, protocol, discrete, train,
-                                         val, cm), None
-        except NonFiniteError as exc:
-            return None, (discrete, f"training diverged: {exc}")
+        return evaluate_config_exact(config, protocol, discrete, train, val)
 
     if protocol.workers > 1:
         with ThreadPoolExecutor(max_workers=protocol.workers) as pool:
             results = list(pool.map(job, configs))
     else:
         results = [job(c) for c in configs]
-
-    entries, excluded = [], []
-    for entry, failure in results:
-        if entry is not None:
-            entries.append(entry)
+    table = AccuracyTable([], [], config.device.shared_precision)
+    for discrete, (acc_loss, reason) in zip(configs, results):
+        if reason is None:
+            table.scores.append((discrete, acc_loss))
         else:
-            excluded.append(failure)
-    order = sorted(range(len(entries)),
-                   key=lambda idx: (entries[idx].total_loss, idx))
+            table.excluded.append((discrete, reason))
+    return table
+
+
+def rank_by_cost(config: SearchConfig, table: AccuracyTable,
+                 protocol: OracleProtocol = None) -> OracleRanking:
+    """Rank the configs of `table` under `config`'s device, budget and cost
+    hyperparameters, without training: the parallel factors of every
+    config retuned in one batched descent on one CostModel from its start,
+    each config then scored by the long-hand cost arithmetic."""
+    protocol = protocol or OracleProtocol()
+    device = config.device
+    if table.shared_precision != device.shared_precision:
+        raise OracleError(f"accuracy table of shared_precision="
+                          f"{table.shared_precision} cannot rank for a "
+                          f"{device.kind} device")
+    cm = CostModel(config.space, device, config.hyper)
+    cm.initial_perf_norm()
+    tuned = [discrete for discrete, _ in table.scores]
+    if device.kind != "gpu_table":
+        pf0 = cm.initial_pf()
+        seeds = [DerivedDesign(device.kind, list(c.op_indices),
+                               list(c.bit_widths),
+                               np.rint(pf0[cm.pf_index(c.op_indices)])
+                               .astype(int).tolist(), device.shared_precision)
+                 for c in tuned]
+        retuned = retune_parallel_factors(
+            seeds, cm, steps=protocol.retune_steps, lr=protocol.retune_lr)
+        tuned = [DiscreteConfig(c.op_indices, c.bit_widths,
+                                tuple(d.parallel_factors))
+                 for c, d in zip(tuned, retuned)]
+
+    entries = []
+    for c, (_, acc_loss) in zip(tuned, table.scores):
+        perf_loss, resource, penalty = exact_vertex_costs(
+            config.space, device, cm.hyper, cm.perf_norm, c.op_indices,
+            c.bit_widths, cm.layout_pfs(c.op_indices, c.parallel_factors))
+        entries.append(RankedEntry(c, acc_loss, perf_loss, resource,
+                                   acc_loss * perf_loss + penalty))
     return OracleRanking(
-        entries=[entries[idx] for idx in order],
-        excluded=excluded,
+        entries=sorted(entries, key=lambda e: e.total_loss),  # stable on ties
+        excluded=list(table.excluded),
         config_hash=config_hash(config),
         perf_norm=cm.perf_norm,
     )
+
+
+def rank_configs(config: SearchConfig, protocol: OracleProtocol = None,
+                 dataset=None) -> OracleRanking:
+    """Exhaustive ranking of the whole discrete space, ascending loss: the
+    accuracy table, then its cost ranking.  A budget with no positive pf
+    start is refused first, before any data is generated or trained on."""
+    CostModel(config.space, config.device, config.hyper).initial_pf()
+    return rank_by_cost(config, accuracy_table(config, protocol, dataset),
+                        protocol)

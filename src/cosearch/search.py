@@ -37,6 +37,18 @@ class SearchAbort(SearchError):
 
 # -- optimizers -----------------------------------------------------------------
 
+def _grad_norm2(grad, owner):
+    """Squared norm of a flat gradient, as one dot.  A NaN or inf in it
+    raises, naming the optimizer, before any update arithmetic could warn;
+    only a non-finite norm (which huge finite entries also give) pays for
+    the entry-by-entry check."""
+    with np.errstate(over="ignore"):
+        norm2 = float(np.dot(grad, grad))
+    if not math.isfinite(norm2) and not np.isfinite(grad).all():
+        raise NonFiniteError(f"non-finite gradient reached '{owner}.step'")
+    return norm2
+
+
 class SGD:
     """Momentum SGD with global-norm clipping over one flat buffer of all
     its parameters (see tc.FlatParameters): one update per step."""
@@ -55,8 +67,9 @@ class SGD:
     def step(self):
         scale = 1.0
         grad = self._flat.grad
+        norm = math.sqrt(_grad_norm2(grad, "SGD"))
         if self.clip_norm is not None and not (
-                math.sqrt(np.dot(grad, grad)) < self.clip_norm * (1 - 1e-9)):
+                norm < self.clip_norm * (1 - 1e-9)):
             # At or near the clip the per-parameter sums decide, so the
             # scale has the bits that summing array by array gives.
             total = math.sqrt(sum(float((p.grad ** 2).sum())
@@ -88,8 +101,9 @@ class Adam:
         self._flat.grad[...] = 0.0
 
     def step(self):
-        self._t += 1
         b1, b2, grad = self.beta1, self.beta2, self._flat.grad
+        _grad_norm2(grad, "Adam")
+        self._t += 1
         self._m *= b1
         self._m += (1 - b1) * grad
         self._v *= b2
@@ -275,7 +289,8 @@ def predict_discrete(space, device, ops, bits, pfs):
 
 def derive_architecture(state: SearchState) -> DerivedDesign:
     """Collapse the relaxed state: argmax over ops, then bit-widths; round
-    the parallel factors.  Ties go to the lower index."""
+    the parallel factors.  Ties go to the lower index.  The design comes
+    unpriced: `run_search` prices it once, after the retune on an FPGA."""
     net, space, device = state.supernet, state.config.space, state.config.device
     ops = [int(np.argmax(net.theta.values[i])) for i in range(space.num_blocks)]
     bits = [space.quant.bit_widths[net.phi.argmax(i, ops[i])]
@@ -284,93 +299,112 @@ def derive_architecture(state: SearchState) -> DerivedDesign:
     if state.pf is not None:
         index = state.costmodel.pf_index(ops)
         pfs = np.rint(state.pf.values[index]).astype(int).tolist()
-    design = DerivedDesign(
+    return DerivedDesign(
         device_kind=device.kind,
         op_indices=ops,
         bit_widths=bits,
         parallel_factors=pfs,
         shared_precision=device.shared_precision,
     )
-    design.predicted = predict_discrete(space, device, ops, bits, pfs)
-    return design
 
 
-def retune_parallel_factors(design: DerivedDesign, cm: CostModel,
+def retune_parallel_factors(designs, cm: CostModel,
                             steps=SearchConfig.retune_steps,
-                            lr=SearchConfig.retune_lr) -> DerivedDesign:
-    """Re-optimize the parallel factors of a fixed discrete architecture
+                            lr=SearchConfig.retune_lr) -> list:
+    """Re-optimize the parallel factors of fixed discrete architectures
     against `cm`'s hyperparameters and perf_norm; `cm` is left as it was.
+    Returns one tuned, priced design per design in `designs`.
 
-    The cost terms come once from the design's one-hot weights; each step
-    of the continuous descent on performance + penalty redoes only the pf
-    half, in the device's pf layout (unused IPs get no gradient).  Then
-    rounding, and a greedy repair that lowers the factor with the least
+    The cost terms come once from each design's one-hot weights.  The
+    continuous descent on performance + penalty runs for all designs at
+    once, one lane each, redoing only the pf half in the device's pf
+    layout (unused IPs get no gradient); the loss is the sum over lanes,
+    so each lane descends exactly as it would alone.  Then, per design,
+    rounding and a greedy repair that lowers the factor with the least
     latency regret by one until the resource budget holds.  A design
-    outside the space raises SpaceError naming the block.
+    outside the space raises SpaceError naming the block; one infeasible
+    at parallelism 1 raises InfeasibleError naming its ops and bits.
     """
     space, device, perf_norm = cm.space, cm.device, cm.perf_norm
     if device.kind == "gpu_table":
         raise SearchError("parallel factors exist only for FPGA devices")
-    ops, bits = design.op_indices, design.bit_widths
-    theta_w, phi_w = cm.vertex_weights(ops, bits)
-    terms = cm.terms(theta_w, phi_w)
-    start = cm.layout_pfs(ops, design.parallel_factors)
+    if not designs:
+        return []
+    weights = [cm.vertex_weights(d.op_indices, d.bit_widths) for d in designs]
+    terms = [cm.terms(theta_w, phi_w) for theta_w, phi_w in weights]
 
-    floor = cm.apply_pf(theta_w, terms, Tensor(np.zeros_like(start))).resource
-    if floor.item() > device.res_ub:
-        raise InfeasibleError(
-            f"no feasible parallel factors: resource is {floor.item()} even "
-            f"at parallelism 1, bound is {device.res_ub}")
+    def lanes(arrays):  # L x N x M, or L x 1 x M for a per-op layout
+        return Tensor(np.reshape(arrays, (len(arrays), -1, space.num_ops)))
+
+    theta_l = lanes([theta_w.values for theta_w, _ in weights])
+    terms_l = (lanes([lat.values for lat, _ in terms]),
+               lanes([res.values for _, res in terms]))
+    starts = [cm.layout_pfs(d.op_indices, d.parallel_factors) for d in designs]
+    start = lanes(starts).values
+
+    floor = cm.apply_pf(theta_l, terms_l, Tensor(np.zeros_like(start)))
+    for design, res in zip(designs, floor.resource.values):
+        if res > device.res_ub:
+            raise InfeasibleError(
+                f"ops {design.op_indices} bits {design.bit_widths}: no "
+                f"feasible parallel factors: resource is {res} even at "
+                f"parallelism 1, bound is {device.res_ub}")
 
     pf = Parameter(start)
     opt = Adam([pf], lr=lr)
     for _ in range(steps):
         opt.zero_grad()
         with Tape() as tape:
-            out = cm.apply_pf(theta_w, terms, pf)
-            tape.backward(out.perf_loss + cm.penalty(out.resource))
+            out = cm.apply_pf(theta_l, terms_l, pf)
+            tape.backward((out.perf_loss + cm.penalty(out.resource)).sum())
         opt.step()
         pf.assign(np.clip(pf.values, 0.0, device.pf_max))
+    rounded = np.clip(np.round(pf.values), 0, math.floor(device.pf_max))
 
     def latency(out):  # in cycles; the bottleneck for a throughput target
         lats = [p * perf_norm for p in out.block_perfs_norm]
         return max(lats) if device.perf_aggregation == "lse" else sum(lats)
 
-    ints = np.clip(np.round(pf.values), 0, math.floor(device.pf_max))
-    current = cm.apply_pf(theta_w, terms, Tensor(ints))
-    while current.resource.item() > device.res_ub:
-        best = None
-        for slot in np.flatnonzero(ints):
-            trial = ints.copy()
-            trial.flat[slot] -= 1
-            out = cm.apply_pf(theta_w, terms, Tensor(trial))
-            if out.resource.item() >= current.resource.item():
-                continue  # a resource-free IP: no help to the budget
-            regret = latency(out) - latency(current)
-            if best is None or regret < best[0] - 1e-15:
-                best = (regret, trial, out)
-        if best is None:
-            raise InfeasibleError(
-                f"cannot repair parallel factors below resource bound "
-                f"{device.res_ub}")
-        _, ints, current = best
-
-    pfs = ints[cm.pf_index(ops)].astype(int).tolist()
-    tuned = DerivedDesign(
-        device_kind=design.device_kind,
-        op_indices=list(ops),
-        bit_widths=list(bits),
-        parallel_factors=pfs,
-        shared_precision=design.shared_precision,
-    )
-    tuned.predicted = predict_discrete(space, device, ops, bits, pfs)
+    tuned = []
+    for design, (theta_w, _), cost, ints, lane_start in zip(
+            designs, weights, terms, rounded, starts):
+        ints = ints.reshape(lane_start.shape)
+        current = cm.apply_pf(theta_w, cost, Tensor(ints))
+        while current.resource.item() > device.res_ub:
+            best = None
+            for slot in np.flatnonzero(ints):
+                trial = ints.copy()
+                trial.flat[slot] -= 1
+                out = cm.apply_pf(theta_w, cost, Tensor(trial))
+                if out.resource.item() >= current.resource.item():
+                    continue  # a resource-free IP: no help to the budget
+                regret = latency(out) - latency(current)
+                if best is None or regret < best[0] - 1e-15:
+                    best = (regret, trial, out)
+            if best is None:
+                raise InfeasibleError(
+                    f"ops {design.op_indices} bits {design.bit_widths}: "
+                    f"cannot repair parallel factors below resource bound "
+                    f"{device.res_ub}")
+            _, ints, current = best
+        ops, bits = list(design.op_indices), list(design.bit_widths)
+        pfs = ints[cm.pf_index(ops)].astype(int).tolist()
+        tuned.append(DerivedDesign(
+            device_kind=design.device_kind,
+            op_indices=ops,
+            bit_widths=bits,
+            parallel_factors=pfs,
+            shared_precision=design.shared_precision,
+            predicted=predict_discrete(space, device, ops, bits, pfs),
+        ))
     return tuned
 
 
 def retune_impl(design: DerivedDesign, state: SearchState) -> DerivedDesign:
     cfg = state.config
-    return retune_parallel_factors(design, state.costmodel,
-                                   steps=cfg.retune_steps, lr=cfg.retune_lr)
+    (tuned,) = retune_parallel_factors([design], state.costmodel,
+                                       steps=cfg.retune_steps, lr=cfg.retune_lr)
+    return tuned
 
 
 # -- full runs ---------------------------------------------------------------------
@@ -435,7 +469,11 @@ def run_search(config: SearchConfig, dataset=None) -> SearchReport:
     design = None
     if aborted is None:
         design = derive_architecture(state)
-        if config.device.kind != "gpu_table":
+        if config.device.kind == "gpu_table":
+            design.predicted = predict_discrete(
+                config.space, config.device, design.op_indices,
+                design.bit_widths, None)
+        else:
             design = retune_impl(design, state)
     return SearchReport(
         config=config_to_dict(config),

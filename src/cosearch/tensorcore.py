@@ -331,7 +331,7 @@ def take(a, idx):
 
 
 def total_sum(a, axis=None):
-    """Sum of all entries, or over one axis."""
+    """Sum of all entries, or over one axis or a tuple of axes."""
     def grad_fn(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
@@ -565,16 +565,17 @@ def softmax_cross_entropy(logits, labels):
 
 
 def log_sum_exp(v):
-    """Smooth maximum log(sum(exp(v))) of a vector, max-shifted."""
-    if v.values.ndim != 1 or v.values.size == 0:
-        raise ShapeError(f"log_sum_exp expects a non-empty vector, got shape "
+    """Smooth maximum log(sum(exp(v))) over the last axis, max-shifted: of
+    a vector, or of each row under a leading lane axis."""
+    if v.values.ndim not in (1, 2) or v.values.shape[-1] == 0:
+        raise ShapeError(f"log_sum_exp expects non-empty vectors, got shape "
                          f"{v.values.shape}")
-    m = v.values.max()
-    e = np.exp(v.values - m)
-    z = e.sum()
+    m = v.values.max(axis=-1)
+    e = np.exp(v.values - m[..., None])
+    z = e.sum(axis=-1)
 
     def grad_fn(g):
-        return (g * e / z,)
+        return (np.expand_dims(g, -1) * e / z[..., None],)
     return _make(m + np.log(z), (v,), grad_fn, "log_sum_exp")
 
 

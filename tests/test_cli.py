@@ -186,7 +186,7 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("bound, flags, code, generated", [
         (64, ["--cap", "10"], cli.EXIT_CONFIG, 0),
-        (1.5, [], cli.EXIT_INFEASIBLE, 1),
+        (1.5, [], cli.EXIT_INFEASIBLE, 0),
     ])
     def test_refused_enumeration_leaves_no_output(self, tmp_path, capsys,
                                                   monkeypatch, bound, flags,
@@ -202,7 +202,7 @@ class TestSearchCommand:
         assert cli.main(["enumerate", "-c", str(path), *flags]) == code
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-        # a refused cap is refused before any data is generated
+        # a refused cap or budget is refused before any data is generated
         assert len(calls) == generated
 
     @pytest.mark.parametrize("key, value", [
@@ -309,6 +309,26 @@ class TestEnumerateEvalCompare:
         assert cli.main(["enumerate", "-c", small_cfg,
                          "--train-steps", "4"]) == 0
         assert Path(ranking_path).read_bytes() == first
+
+    def test_enumerate_retunes_with_the_config_settings(self, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "zero.yaml"
+        path.write_text(SMALL_YAML.format(out=tmp_path / "z").replace(
+            "retune_steps: 120", "retune_steps: 0").replace(
+            "retune_lr: 0.03", "retune_lr: 0.07"))
+        seen = []
+        real = cli.oraclemod.rank_configs
+        monkeypatch.setattr(cli.oraclemod, "rank_configs",
+                            lambda config, protocol: seen.append(protocol)
+                            or real(config, protocol))
+        assert cli.main(["enumerate", "-c", str(path),
+                         "--train-steps", "2"]) == 0
+        assert [(p.retune_steps, p.retune_lr) for p in seen] == [(0, 0.07)]
+        config = cli.build_search_config(cli.load_config_file(str(path)))
+        want = real(config, OracleProtocol(train_steps=2, retune_steps=0,
+                                           retune_lr=0.07))
+        doc = cli.read_json(str(tmp_path / "z" / "ranking.json"))
+        assert doc == json.loads(cli.to_json(cli.ranking_document(want)))
 
     def test_compare_rank_and_threshold(self, artifacts):
         report, ranking, _, _ = artifacts

@@ -597,6 +597,48 @@ class TestArrayAssembleMatchesScalarLoop:
 
 # -- one cost at every vertex: relaxed objective, reported design, oracle ---------
 
+class TestApplyPfLanes:
+    """apply_pf over a leading lane axis gives each lane the bits, values
+    and pf gradients, of apply_pf on that lane's design alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("fpga_recursive",
+                                                 "fpga_pipelined")),
+           n=st.integers(1, 5), m=st.integers(1, 10), q=st.integers(1, 3),
+           lanes=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_lanes_equal_designs_alone(self, data, kind, n, m, q, lanes, seed):
+        cm = random_cost_model(data, kind, n, m, q)
+        cm.perf_norm = data.draw(st.floats(1.0, 1e6))
+        rng = np.random.default_rng(seed)
+        alone = []
+        for _ in range(lanes):
+            theta_w = Tensor(tc.softmax(Tensor(rng.normal(0, 3, (n, m)))).values)
+            phi_w = Tensor(tc.softmax(Tensor(rng.normal(0, 3, (n, m, q)))).values)
+            pf = Parameter(rng.uniform(0, 10, m if kind == "fpga_recursive"
+                                       else (n, m)))
+            with Tape() as tape:
+                out = cm.apply_pf(theta_w, cm.terms(theta_w, phi_w), pf)
+                tape.backward(out.perf_loss + cm.penalty(out.resource))
+            alone.append((theta_w, cm.terms(theta_w, phi_w), pf, out))
+
+        def stacked(arrays):
+            return Tensor(np.reshape(arrays, (lanes, -1, m)))
+
+        theta_l = stacked([a[0].values for a in alone])
+        terms_l = (stacked([a[1][0].values for a in alone]),
+                   stacked([a[1][1].values for a in alone]))
+        pf_l = Parameter(np.reshape([a[2].values for a in alone],
+                                    (lanes, -1, m)))
+        with Tape() as tape:
+            out = cm.apply_pf(theta_l, terms_l, pf_l)
+            tape.backward((out.perf_loss + cm.penalty(out.resource)).sum())
+        for k, (_, _, pf, one) in enumerate(alone):
+            assert out.perf_loss.values[k] == one.perf_loss.item()
+            assert out.resource.values[k] == one.resource.item()
+            assert out.block_perfs_norm[k] == one.block_perfs_norm
+            assert np.array_equal(pf_l.grad[k].reshape(pf.grad.shape), pf.grad)
+
+
 def reference_predict_discrete(space, device, ops, bits, pfs):
     """predict_discrete as a scalar loop per block; a shared IP is sized
     for its widest user, at its first user's parallel factor."""

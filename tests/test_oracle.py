@@ -265,3 +265,43 @@ class TestRanking:
         for e in ranking.entries:
             assert e.config.parallel_factors is None
             assert e.resource == 0.0
+
+
+class TestCostRanking:
+    """The cost half re-ranks an accuracy table without training."""
+
+    @staticmethod
+    def forbid_training(monkeypatch):
+        def train_path(*args, **kwargs):
+            raise AssertionError("the cost ranking trained a network")
+        monkeypatch.setattr(om, "train_path", train_path)
+
+    @pytest.mark.parametrize("kind", ["fpga_recursive", "fpga_pipelined"])
+    def test_new_budget_equals_full_ranking(self, monkeypatch, kind):
+        protocol = om.OracleProtocol(train_steps=4, batch_size=8,
+                                     retune_steps=40)
+        table = om.accuracy_table(tiny_config(), protocol)
+        moved = tiny_config(device=DeviceModel(kind=kind, res_ub=24.0))
+        want = om.rank_configs(moved, protocol)
+        self.forbid_training(monkeypatch)
+        got = om.rank_by_cost(moved, table, protocol)
+        assert got == want
+        assert len(got.entries) == 4
+
+    def test_excluded_configs_carry_over(self, monkeypatch):
+        protocol = om.OracleProtocol(train_steps=30, batch_size=8, lr=1e80)
+        table = om.accuracy_table(tiny_config(), protocol)
+        assert table.excluded
+        self.forbid_training(monkeypatch)
+        ranking = om.rank_by_cost(tiny_config(), table, protocol)
+        assert ranking.excluded == table.excluded
+        assert len(ranking.entries) == len(table.scores)
+
+    def test_precision_sharing_must_match(self):
+        protocol = om.OracleProtocol(train_steps=2, batch_size=8)
+        table = om.accuracy_table(tiny_config(), protocol)
+        space = tiny_config().space
+        gpu = tiny_config(device=DeviceModel.gpu(reference_gpu_table(space)))
+        with pytest.raises(om.OracleError, match="shared_precision"):
+            om.rank_by_cost(gpu, table, protocol)
+

@@ -197,10 +197,24 @@ class TestFlatSGD:
         before = [p.values.copy() for p in params]
         params[0].grad[...] = 1.0
         params[1].grad[2] = np.nan
-        with pytest.raises(NonFiniteError, match="'assign'"):
+        with pytest.raises(NonFiniteError, match="'SGD.step'"):
             opt.step()
         for b, p in zip(before, params):
             assert np.array_equal(b, p.values)
+
+    @pytest.mark.parametrize("clip_norm", [5.0, None])
+    def test_inf_gradient_raises_before_arithmetic(self, clip_norm):
+        # with the clip, scale 5/inf = 0 times inf would warn first
+        params = [Parameter(np.ones(3)), Parameter(np.zeros(2))]
+        opt = search.SGD(params, lr=0.1, momentum=0.9, clip_norm=clip_norm)
+        before = [p.values.copy() for p in params] + [opt._vel.copy()]
+        params[1].grad[0] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="'SGD.step'"):
+                opt.step()
+        after = [p.values for p in params] + [opt._vel]
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
     def test_step_updates_what_assign_wrote(self):
         params = [Parameter(np.zeros((2, 2))), Parameter(np.zeros(3))]
@@ -274,10 +288,28 @@ class TestFlatAdam:
         before = [p.values.copy() for p in params]
         params[0].grad[...] = 1.0
         params[1].grad[2] = np.nan
-        with pytest.raises(NonFiniteError, match="'assign'"):
+        with pytest.raises(NonFiniteError, match="'Adam.step'"):
             opt.step()
         for b, p in zip(before, params):
             assert np.array_equal(b, p.values)
+
+
+    def test_inf_gradient_raises_before_arithmetic(self):
+        # inf / (sqrt(inf) + eps) would warn first
+        params = [Parameter(np.ones(3)), Parameter(np.zeros(2))]
+        opt = search.Adam(params, lr=0.1)
+        params[0].grad[...] = 1.0
+        opt.step()
+        before = [p.values.copy() for p in params] + [opt._m.copy(),
+                                                     opt._v.copy()]
+        params[1].grad[1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="'Adam.step'"):
+                opt.step()
+        after = [p.values for p in params] + [opt._m, opt._v]
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
+        assert opt._t == 1
 
 
 class TestBilevelStep:
@@ -449,8 +481,11 @@ class TestDerive:
         phi.assign(sat)
         state.pf.assign(np.array([3.0, 3.0]))
         design = derive_architecture(state)
+        predicted = predict_discrete(config.space, config.device,
+                                     design.op_indices, design.bit_widths,
+                                     design.parallel_factors)
         # one shared IP at 8-bit: psi=0.5, 2^3 = 8 -> 4 DSPs, counted once
-        assert design.predicted["resource"] == 4.0
+        assert predicted["resource"] == 4.0
 
 
 class TestRetune:
@@ -468,7 +503,7 @@ class TestRetune:
         cm.initial_perf_norm()
         design = DerivedDesign("fpga_recursive", [0], [16],
                                [int(round(pf0[0]))], False)
-        tuned = retune_parallel_factors(design, cm)
+        (tuned,) = retune_parallel_factors([design], cm)
         assert tuned.parallel_factors == [5]
         assert tuned.predicted["resource"] == 32.0
 
@@ -480,7 +515,7 @@ class TestRetune:
             device = DeviceModel.fpga_recursive(bound)
             cm = CostModel(space, device, CostHyperparams(res_norm=bound))
             cm.initial_perf_norm()
-            tuned = retune_parallel_factors(design, cm)
+            (tuned,) = retune_parallel_factors([design], cm)
             lat[bound] = tuned.predicted["latency_total"]
         assert lat[64.0] <= lat[32.0]
 
@@ -491,7 +526,7 @@ class TestRetune:
         cm = CostModel(space, device, hyper)
         cm.initial_perf_norm()
         design = DerivedDesign("fpga_recursive", [0, 0], [4, 4], [3, 3], False)
-        tuned = retune_parallel_factors(design, cm)
+        (tuned,) = retune_parallel_factors([design], cm)
         assert tuned.parallel_factors == [5, 5]
         assert tuned.predicted["resource"] == 0.0
 
@@ -501,14 +536,14 @@ class TestRetune:
         cm = CostModel(space, device, CostHyperparams(res_norm=1.0))
         design = DerivedDesign("fpga_pipelined", [0, 0], [16, 16], [0, 0], False)
         with pytest.raises(InfeasibleError):
-            retune_parallel_factors(design, cm)
+            retune_parallel_factors([design], cm)
 
     def test_gpu_mode_rejected(self):
         space = small_space(quant=QuantLevels((8, 16)))
         device = DeviceModel.gpu(reference_gpu_table(space))
         design = DerivedDesign("gpu_table", [0, 0], [8, 8], None, True)
         with pytest.raises(SearchError):
-            retune_parallel_factors(design, CostModel(space, device))
+            retune_parallel_factors([design], CostModel(space, device))
 
     def test_repair_enforces_budget(self):
         space = small_space(quant=QuantLevels((4, 8, 16)))
@@ -516,7 +551,7 @@ class TestRetune:
         cm = CostModel(space, device, CostHyperparams(res_norm=12.0))
         cm.initial_perf_norm()
         design = DerivedDesign("fpga_pipelined", [0, 1], [16, 16], [5, 5], False)
-        tuned = retune_parallel_factors(design, cm)
+        (tuned,) = retune_parallel_factors([design], cm)
         assert tuned.predicted["resource"] <= 12.0
 
     @pytest.mark.parametrize("kind", ["fpga_recursive", "fpga_pipelined"])
@@ -529,7 +564,7 @@ class TestRetune:
         before = ({c: getattr(cm, c).values.copy() for c in consts},
                   cm.perf_norm, dataclasses.replace(cm.hyper))
         design = DerivedDesign(kind, [0, 1], [8, 16], [5, 5], False)
-        retune_parallel_factors(design, cm, steps=50)
+        retune_parallel_factors([design], cm, steps=50)
         assert cm.perf_norm == before[1] and cm.hyper == before[2]
         for c in consts:
             assert np.array_equal(getattr(cm, c).values, before[0][c])
@@ -544,7 +579,7 @@ class TestRetune:
             predict_discrete(space, device, design.op_indices,
                              design.bit_widths, design.parallel_factors)
         with pytest.raises(SpaceError, match=r"^block 1: bit_width 16 "):
-            retune_parallel_factors(design, CostModel(space, device))
+            retune_parallel_factors([design], CostModel(space, device))
 
 
 def reference_retune(design, space, device, hyper, perf_norm, steps, lr):
@@ -641,10 +676,84 @@ class TestRetuneMatchesScalarObjective:
                                     steps, lr)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
-                retune_parallel_factors(design, cm, steps=steps, lr=lr)
+                retune_parallel_factors([design], cm, steps=steps, lr=lr)
             return
-        tuned = retune_parallel_factors(design, cm, steps=steps, lr=lr)
+        (tuned,) = retune_parallel_factors([design], cm, steps=steps, lr=lr)
         assert tuned.parallel_factors == want
+
+
+class TestRetuneLanes:
+    """A batched retune descends every design in a lane of its own: each
+    lane gives the bits that retuning its design alone gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(("fpga_recursive",
+                                                 "fpga_pipelined")),
+           n=st.integers(1, 5), m=st.integers(1, 4), lanes=st.integers(2, 6))
+    def test_lanes_equal_one_design_retunes(self, data, kind, n, m, lanes):
+        draw = data.draw
+        bits = sorted(draw(st.sets(st.integers(2, 16), min_size=1, max_size=3)))
+        space = small_space(num_blocks=n, kernel_sizes=tuple(range(1, 2 * m, 2)),
+                            quant=QuantLevels(tuple(bits)),
+                            channel_plan=(8,) * n, downsample_blocks=())
+        res_ub = draw(st.floats(4.0, 4096.0))
+        device = DeviceModel(kind=kind, res_ub=res_ub)
+        cm = CostModel(space, device, CostHyperparams(res_norm=res_ub))
+        cm.perf_norm = draw(st.floats(1.0, 1e6))
+        top = int(device.pf_max)
+        designs = []
+        for _ in range(lanes):
+            ops = [draw(st.integers(0, m - 1)) for _ in range(n)]
+            per_op = [draw(st.integers(0, top)) for _ in range(m)]
+            # high starts and few steps leave lanes over budget to repair
+            designs.append(DerivedDesign(
+                kind, ops, [draw(st.sampled_from(bits)) for _ in range(n)],
+                [per_op[o] if kind == "fpga_recursive"
+                 else draw(st.integers(0, top)) for o in ops], False))
+        steps, lr = draw(st.integers(0, 30)), draw(st.floats(0.005, 0.2))
+        alone = []
+        for design in designs:
+            try:
+                alone.append(retune_parallel_factors([design], cm, steps=steps,
+                                                     lr=lr)[0])
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    retune_parallel_factors(designs, cm, steps=steps, lr=lr)
+                return
+        together = retune_parallel_factors(designs, cm, steps=steps, lr=lr)
+        assert together == alone
+
+    @pytest.mark.parametrize("kind", ["fpga_recursive", "fpga_pipelined"])
+    def test_repaired_lanes_equal_one_design_retunes(self, kind):
+        space = small_space(quant=QuantLevels((4, 8, 16)))
+        device = DeviceModel(kind=kind, res_ub=20.0)
+        cm = CostModel(space, device, CostHyperparams(res_norm=20.0))
+        cm.initial_perf_norm()
+        top = int(device.pf_max)
+        designs = [DerivedDesign(kind, [0, 1], [16, 8], [top, top], False),
+                   DerivedDesign(kind, [1, 1], [16, 16], [top, top], False),
+                   DerivedDesign(kind, [0, 0], [4, 4], [0, 0], False)]
+        together = retune_parallel_factors(designs, cm, steps=0)
+        for design, tuned in zip(designs, together):
+            assert [tuned] == retune_parallel_factors([design], cm, steps=0)
+            assert tuned.predicted["resource"] <= 20.0
+        # lane 0 rounds to 24 DSPs at its start: the repair lowered it
+        assert together[0].parallel_factors != [top, top]
+
+    def test_infeasible_lane_named(self):
+        space = small_space(quant=QuantLevels((4, 8, 16)))
+        cm = CostModel(space, DeviceModel.fpga_pipelined(1.2),
+                       CostHyperparams(res_norm=1.2))
+        designs = [DerivedDesign("fpga_pipelined", [0, 1], [4, 8], [0, 0], False),
+                   DerivedDesign("fpga_pipelined", [1, 0], [16, 8], [0, 0],
+                                 False)]
+        with pytest.raises(InfeasibleError,
+                           match=r"^ops \[1, 0\] bits \[16, 8\]: no feasible"):
+            retune_parallel_factors(designs, cm)
+
+    def test_no_designs(self):
+        cm = CostModel(small_space(), DeviceModel.fpga_recursive(64.0))
+        assert retune_parallel_factors([], cm) == []
 
 
 @st.composite
@@ -797,6 +906,22 @@ class TestRunSearch:
         assert a.epochs == b.epochs
         assert a.design == b.design
         assert a.config_hash == b.config_hash
+
+    @pytest.mark.parametrize("kind", ["fpga_recursive", "fpga_pipelined",
+                                      "gpu_table"])
+    def test_design_priced_once(self, kind):
+        space = small_space(quant=QuantLevels((8, 16)))
+        device = (DeviceModel.gpu(reference_gpu_table(space))
+                  if kind == "gpu_table" else DeviceModel(kind=kind, res_ub=64.0))
+        config = small_config(space=space, device=device, epochs=1,
+                              retune_steps=5)
+        with mock.patch.object(search, "predict_discrete",
+                               wraps=search.predict_discrete) as priced:
+            report = run_search(config)
+        assert priced.call_count == 1
+        assert report.design.predicted == predict_discrete(
+            space, device, report.design.op_indices, report.design.bit_widths,
+            report.design.parallel_factors)
 
     def test_gpu_run_shares_bit_width(self):
         space = small_space(quant=QuantLevels((8, 16)))

@@ -117,6 +117,27 @@ class TestLogSumExp:
         with pytest.raises(ShapeError):
             tc.log_sum_exp(Tensor(np.zeros(0)))
 
+    def test_lanes_equal_rows_bitwise(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            rows = rng.normal(0, 10, (int(rng.integers(1, 6)),
+                                      int(rng.integers(1, 12))))
+            lanes = Parameter(rows)
+            weights = rng.normal(size=len(rows))
+            with Tape() as tape:
+                out = tc.log_sum_exp(lanes)
+                tape.backward((out * Tensor(weights)).sum())
+            for row, w, value, grad in zip(rows, weights, out.values,
+                                           lanes.grad):
+                alone = Parameter(row)
+                with Tape() as tape:
+                    one = tc.log_sum_exp(alone)
+                    tape.backward(one * Tensor(w))
+                assert value == one.item()
+                assert np.array_equal(grad, alone.grad)
+        with pytest.raises(ShapeError):
+            tc.log_sum_exp(Tensor(np.zeros((2, 2, 2))))
+
     def test_bounds_random(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
