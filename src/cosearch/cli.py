@@ -136,8 +136,6 @@ def template_text() -> str:
         for key, (_, default, comment) in keys.items():
             if default is None:
                 rendered = "null"
-            elif isinstance(default, bool):
-                rendered = "true" if default else "false"
             elif isinstance(default, list):
                 rendered = "[" + ", ".join(str(v) for v in default) + "]"
             else:
@@ -523,6 +521,9 @@ def cmd_eval(args) -> int:
     config = build_search_config(doc, device_kind=args.device)
     ddoc = read_json(args.design)
     design = design_from_document(ddoc)
+    if design.device_kind != config.device.kind:
+        raise ConfigFileError(f"design is for device {design.device_kind}, "
+                              f"not {config.device.kind}")
     if config.device.kind != "gpu_table" and design.parallel_factors is None:
         raise ConfigFileError("design: parallel_factor missing for an FPGA "
                               "device")

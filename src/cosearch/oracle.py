@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,16 +31,9 @@ class OracleError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class DiscreteConfig:
-    op_indices: tuple
-    bit_widths: tuple
-    parallel_factors: tuple = None  # filled by the cost ranking's retune
-
-
 @dataclass
 class RankedEntry:
-    config: DiscreteConfig
+    config: DerivedDesign  # tuples of ops, bits and tuned parallel factors
     acc_loss: float
     perf_loss: float
     resource: float
@@ -50,7 +43,7 @@ class RankedEntry:
 @dataclass
 class OracleRanking:
     entries: list  # RankedEntry, ascending total_loss
-    excluded: list  # (DiscreteConfig, reason) for diverged trainings
+    excluded: list  # (DerivedDesign, reason) for diverged trainings
     config_hash: str
     perf_norm: float
 
@@ -90,7 +83,8 @@ class OracleProtocol:
 
 def enumerate_configs(space: SearchSpace, device: DeviceModel,
                       cap: int = OracleProtocol.cap):
-    """All discrete (op, bit-width) assignments, duplicate-free.
+    """All discrete (op, bit-width) assignments, duplicate-free, as
+    designs with tuples of ops and bits and no parallel factors.
 
     Per-block bit-widths for FPGA devices; one shared bit-width for GPU.
     """
@@ -100,18 +94,16 @@ def enumerate_configs(space: SearchSpace, device: DeviceModel,
         raise OracleError(
             f"{total} configurations exceed the enumeration cap {cap}; shrink "
             f"the space or raise the cap to at least {total}")
-    bits = space.quant.bit_widths
-    configs = []
+    levels = space.quant.bit_widths
     if device.shared_precision:
-        for ops in itertools.product(range(m), repeat=n):
-            for b in bits:
-                configs.append(DiscreteConfig(ops, (b,) * n))
+        pairs = [(ops, (b,) * n) for ops in itertools.product(range(m), repeat=n)
+                 for b in levels]
     else:
-        per_block = [(op, b) for op in range(m) for b in bits]
-        for combo in itertools.product(per_block, repeat=n):
-            configs.append(DiscreteConfig(tuple(c[0] for c in combo),
-                                          tuple(c[1] for c in combo)))
-    return configs
+        per_block = [(op, b) for op in range(m) for b in levels]
+        pairs = [tuple(zip(*combo))
+                 for combo in itertools.product(per_block, repeat=n)]
+    return [DerivedDesign(device.kind, ops, bits, None,
+                          device.shared_precision) for ops, bits in pairs]
 
 
 # -- independent cost arithmetic -------------------------------------------------
@@ -188,22 +180,22 @@ def exact_vertex_costs(space: SearchSpace, device: DeviceModel,
 # -- accuracy protocol ------------------------------------------------------------
 
 def _train_acc_loss(config: SearchConfig, protocol: OracleProtocol,
-                    discrete: DiscreteConfig, train, val) -> float:
+                    design: DerivedDesign, train, val) -> float:
     net = Supernet(config.space, seed=protocol.seed,
                    shared_precision=config.device.shared_precision)
     rng = np.random.default_rng(
         np.random.SeedSequence([protocol.seed, 0x0a11]))
-    train_path(net, discrete, train, protocol.train_steps, protocol.batch_size,
+    train_path(net, design, train, protocol.train_steps, protocol.batch_size,
                protocol.lr, protocol.momentum, rng)
-    return float(net.infer_loss(discrete, val.images, val.labels).item())
+    return float(net.infer_loss(design, val.images, val.labels).item())
 
 
 def evaluate_config_exact(config: SearchConfig, protocol: OracleProtocol,
-                          discrete: DiscreteConfig, train, val):
+                          design: DerivedDesign, train, val):
     """One config's accuracy under the protocol: (acc_loss, None), or
     (None, reason) when its training diverged."""
     try:
-        return _train_acc_loss(config, protocol, discrete, train, val), None
+        return _train_acc_loss(config, protocol, design, train, val), None
     except NonFiniteError as exc:
         return None, f"training diverged: {exc}"
 
@@ -213,8 +205,8 @@ class AccuracyTable:
     """Protocol accuracy of every enumerated config.  It depends on the
     space, data, fractions, protocol and precision sharing only, not on the
     device's costs or budget, so one table serves every cost ranking."""
-    scores: list  # (DiscreteConfig, acc_loss), in enumeration order
-    excluded: list  # (DiscreteConfig, reason) for diverged trainings
+    scores: list  # (DerivedDesign, acc_loss), in enumeration order
+    excluded: list  # (DerivedDesign, reason) for diverged trainings
     shared_precision: bool
 
 
@@ -227,8 +219,8 @@ def accuracy_table(config: SearchConfig, protocol: OracleProtocol = None,
         dataset = datamod.generate_dataset(config.data)
     train, val, _ = datamod.split(dataset, config.fractions, config.data.seed)
 
-    def job(discrete):
-        return evaluate_config_exact(config, protocol, discrete, train, val)
+    def job(design):
+        return evaluate_config_exact(config, protocol, design, train, val)
 
     if protocol.workers > 1:
         with ThreadPoolExecutor(max_workers=protocol.workers) as pool:
@@ -236,20 +228,20 @@ def accuracy_table(config: SearchConfig, protocol: OracleProtocol = None,
     else:
         results = [job(c) for c in configs]
     table = AccuracyTable([], [], config.device.shared_precision)
-    for discrete, (acc_loss, reason) in zip(configs, results):
+    for design, (acc_loss, reason) in zip(configs, results):
         if reason is None:
-            table.scores.append((discrete, acc_loss))
+            table.scores.append((design, acc_loss))
         else:
-            table.excluded.append((discrete, reason))
+            table.excluded.append((design, reason))
     return table
 
 
 def rank_by_cost(config: SearchConfig, table: AccuracyTable,
                  protocol: OracleProtocol = None) -> OracleRanking:
-    """Rank the configs of `table` under `config`'s device, budget and cost
-    hyperparameters, without training: the parallel factors of every
-    config retuned in one batched descent on one CostModel from its start,
-    each config then scored by the long-hand cost arithmetic."""
+    """Rank the designs of `table` under `config`'s device, budget and cost
+    hyperparameters, without training: each copied for the device, its
+    parallel factors retuned in one batched descent on one CostModel from
+    its start, then scored by the long-hand cost arithmetic."""
     protocol = protocol or OracleProtocol()
     device = config.device
     if table.shared_precision != device.shared_precision:
@@ -258,30 +250,28 @@ def rank_by_cost(config: SearchConfig, table: AccuracyTable,
                           f"{device.kind} device")
     cm = CostModel(config.space, device, config.hyper)
     cm.initial_perf_norm()
-    tuned = [discrete for discrete, _ in table.scores]
-    if device.kind != "gpu_table":
-        pf0 = cm.initial_pf()
-        seeds = [DerivedDesign(device.kind, list(c.op_indices),
-                               list(c.bit_widths),
-                               np.rint(pf0[cm.pf_index(c.op_indices)])
-                               .astype(int).tolist(), device.shared_precision)
-                 for c in tuned]
-        retuned = retune_parallel_factors(
-            seeds, cm, steps=protocol.retune_steps, lr=protocol.retune_lr)
-        tuned = [DiscreteConfig(c.op_indices, c.bit_widths,
-                                tuple(d.parallel_factors))
-                 for c, d in zip(tuned, retuned)]
+    pf0 = cm.initial_pf()  # None on the GPU
+    designs = [replace(d, device_kind=device.kind) for d, _ in table.scores]
+    if pf0 is not None:
+        for d in designs:  # each retune starts from rint(pf0) at its IPs
+            index = cm.pf_index(d.op_indices)
+            d.parallel_factors = np.rint(pf0[index]).astype(int).tolist()
+        tuned = retune_parallel_factors(
+            designs, cm, steps=protocol.retune_steps, lr=protocol.retune_lr)
+        for d, pfs in zip(designs, tuned):
+            d.parallel_factors = tuple(pfs)
 
     entries = []
-    for c, (_, acc_loss) in zip(tuned, table.scores):
+    for d, (_, acc_loss) in zip(designs, table.scores):
         perf_loss, resource, penalty = exact_vertex_costs(
-            config.space, device, cm.hyper, cm.perf_norm, c.op_indices,
-            c.bit_widths, cm.layout_pfs(c.op_indices, c.parallel_factors))
-        entries.append(RankedEntry(c, acc_loss, perf_loss, resource,
+            config.space, device, cm.hyper, cm.perf_norm, d.op_indices,
+            d.bit_widths, cm.layout_pfs(d.op_indices, d.parallel_factors))
+        entries.append(RankedEntry(d, acc_loss, perf_loss, resource,
                                    acc_loss * perf_loss + penalty))
     return OracleRanking(
         entries=sorted(entries, key=lambda e: e.total_loss),  # stable on ties
-        excluded=list(table.excluded),
+        excluded=[(replace(d, device_kind=device.kind), reason)
+                  for d, reason in table.excluded],
         config_hash=config_hash(config),
         perf_norm=cm.perf_norm,
     )

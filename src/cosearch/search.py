@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -290,7 +290,8 @@ def predict_discrete(space, device, ops, bits, pfs):
 def derive_architecture(state: SearchState) -> DerivedDesign:
     """Collapse the relaxed state: argmax over ops, then bit-widths; round
     the parallel factors.  Ties go to the lower index.  The design comes
-    unpriced: `run_search` prices it once, after the retune on an FPGA."""
+    unpriced: designs are priced only where they are reported (`run_search`
+    after the FPGA retune, `cosearch eval`)."""
     net, space, device = state.supernet, state.config.space, state.config.device
     ops = [int(np.argmax(net.theta.values[i])) for i in range(space.num_blocks)]
     bits = [space.quant.bit_widths[net.phi.argmax(i, ops[i])]
@@ -313,7 +314,8 @@ def retune_parallel_factors(designs, cm: CostModel,
                             lr=SearchConfig.retune_lr) -> list:
     """Re-optimize the parallel factors of fixed discrete architectures
     against `cm`'s hyperparameters and perf_norm; `cm` is left as it was.
-    Returns one tuned, priced design per design in `designs`.
+    Returns the tuned integer parallel factors of each design in `designs`,
+    one list of ints per design, one int per block; nothing is priced.
 
     The cost terms come once from each design's one-hot weights.  The
     continuous descent on performance + penalty runs for all designs at
@@ -346,7 +348,8 @@ def retune_parallel_factors(designs, cm: CostModel,
     for design, res in zip(designs, floor.resource.values):
         if res > device.res_ub:
             raise InfeasibleError(
-                f"ops {design.op_indices} bits {design.bit_widths}: no "
+                f"ops {list(design.op_indices)} bits "
+                f"{list(design.bit_widths)}: no "
                 f"feasible parallel factors: resource is {res} even at "
                 f"parallelism 1, bound is {device.res_ub}")
 
@@ -383,28 +386,21 @@ def retune_parallel_factors(designs, cm: CostModel,
                     best = (regret, trial, out)
             if best is None:
                 raise InfeasibleError(
-                    f"ops {design.op_indices} bits {design.bit_widths}: "
+                    f"ops {list(design.op_indices)} bits "
+                    f"{list(design.bit_widths)}: "
                     f"cannot repair parallel factors below resource bound "
                     f"{device.res_ub}")
             _, ints, current = best
-        ops, bits = list(design.op_indices), list(design.bit_widths)
-        pfs = ints[cm.pf_index(ops)].astype(int).tolist()
-        tuned.append(DerivedDesign(
-            device_kind=design.device_kind,
-            op_indices=ops,
-            bit_widths=bits,
-            parallel_factors=pfs,
-            shared_precision=design.shared_precision,
-            predicted=predict_discrete(space, device, ops, bits, pfs),
-        ))
+        tuned.append(ints[cm.pf_index(design.op_indices)].astype(int).tolist())
     return tuned
 
 
 def retune_impl(design: DerivedDesign, state: SearchState) -> DerivedDesign:
+    """`design` with its parallel factors retuned on the search's model."""
     cfg = state.config
-    (tuned,) = retune_parallel_factors([design], state.costmodel,
-                                       steps=cfg.retune_steps, lr=cfg.retune_lr)
-    return tuned
+    (pfs,) = retune_parallel_factors([design], state.costmodel,
+                                     steps=cfg.retune_steps, lr=cfg.retune_lr)
+    return replace(design, parallel_factors=pfs)
 
 
 # -- full runs ---------------------------------------------------------------------
@@ -469,12 +465,11 @@ def run_search(config: SearchConfig, dataset=None) -> SearchReport:
     design = None
     if aborted is None:
         design = derive_architecture(state)
-        if config.device.kind == "gpu_table":
-            design.predicted = predict_discrete(
-                config.space, config.device, design.op_indices,
-                design.bit_widths, None)
-        else:
+        if state.pf is not None:
             design = retune_impl(design, state)
+        design.predicted = predict_discrete(
+            config.space, config.device, design.op_indices, design.bit_widths,
+            design.parallel_factors)
     return SearchReport(
         config=config_to_dict(config),
         config_hash=config_hash(config),

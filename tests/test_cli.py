@@ -430,6 +430,17 @@ class TestEnumerateEvalCompare:
         assert err.startswith("error: block 0: parallel factor 3 ")
         assert "Traceback" not in err
 
+    def test_eval_refuses_a_design_of_another_device(self, small_cfg,
+                                                     tmp_path, capsys):
+        assert cli.main(["search", "-c", small_cfg]) == 0  # fpga_recursive
+        design_path = str(tmp_path / "out" / "seed1_design.json")
+        assert cli.main(["eval", "-c", small_cfg, design_path, "--device",
+                         "fpga_pipelined", "--retrain-epochs", "1"]) == \
+            cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "fpga_recursive" in err and "fpga_pipelined" in err
+        assert not (tmp_path / "out" / "eval.json").exists()
+
 
 class TestDesignDocument:
     def test_roundtrip(self, small_cfg, tmp_path):

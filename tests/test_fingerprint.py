@@ -102,8 +102,8 @@ def test_oracle_training_fingerprint(clip_log):
     dataset = datamod.generate_dataset(config.data)
     train, val, _ = datamod.split(dataset, config.fractions, config.data.seed)
     protocol = oracle.OracleProtocol(train_steps=10, batch_size=8)
-    discrete = oracle.DiscreteConfig((1, 0), (8, 4))
-    loss = oracle._train_acc_loss(config, protocol, discrete, train, val)
+    design = DerivedDesign("fpga_recursive", (1, 0), (8, 4), None, False)
+    loss = oracle._train_acc_loss(config, protocol, design, train, val)
     assert repr(loss) == "1.292936717102388"
     assert len(clip_log) == 10
 

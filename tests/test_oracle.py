@@ -1,4 +1,6 @@
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from cosearch import data as datamod
 from cosearch import oracle as om
 from cosearch.costmodel import (CostHyperparams, CostModel, DeviceModel,
                                 reference_gpu_table)
-from cosearch.search import SearchConfig
+from cosearch import search
+from cosearch.search import DerivedDesign, SearchConfig
 from cosearch.supernet import PhiArray, QuantLevels, SearchSpace
 from cosearch.tensorcore import Parameter, Tensor
 
@@ -36,7 +39,7 @@ class TestEnumerate:
         space = acceptance_space()
         configs = om.enumerate_configs(space, DeviceModel.fpga_recursive(96.0))
         assert len(configs) == 36  # (3*2)^2
-        assert len(set(configs)) == 36
+        assert len({(c.op_indices, c.bit_widths) for c in configs}) == 36
 
     def test_shared_precision_count(self):
         space = acceptance_space()
@@ -208,7 +211,8 @@ class TestRanking:
         device = DeviceModel.fpga_recursive(96.0)
         configs = om.enumerate_configs(space, device)
         rng = np.random.default_rng(4)
-        accs = {c: float(rng.uniform(0.5, 1.5)) for c in configs}
+        accs = {(c.op_indices, c.bit_widths): float(rng.uniform(0.5, 1.5))
+                for c in configs}
         pf = np.full(3, 4.0)
 
         def losses(alpha, perf_norm):
@@ -218,7 +222,7 @@ class TestRanking:
                 perf, res, pen = om.exact_vertex_costs(
                     space, device, hyper, perf_norm, c.op_indices,
                     c.bit_widths, pf)
-                out.append(accs[c] * perf + pen)
+                out.append(accs[c.op_indices, c.bit_widths] * perf + pen)
             return out
 
         base = losses(1.0, 1000.0)
@@ -243,13 +247,13 @@ class TestRanking:
         config = tiny_config()
         ds = datamod.generate_dataset(config.data)
         train, val, _ = datamod.split(ds, config.fractions, config.data.seed)
-        discrete = om.DiscreteConfig((0,), (8,))
+        design = DerivedDesign("fpga_recursive", (0,), (8,), None, False)
         p0 = om.OracleProtocol(train_steps=40, batch_size=8)
-        a = om._train_acc_loss(config, p0, discrete, train, val)
-        b = om._train_acc_loss(config, p0, discrete, train, val)
+        a = om._train_acc_loss(config, p0, design, train, val)
+        b = om._train_acc_loss(config, p0, design, train, val)
         assert a == b
         p1 = om.OracleProtocol(train_steps=40, batch_size=8, seed=1)
-        c = om._train_acc_loss(config, p1, discrete, train, val)
+        c = om._train_acc_loss(config, p1, design, train, val)
         assert abs(a - c) < 0.5  # same regime, different draw
 
     def test_gpu_ranking_no_pf(self):
@@ -287,6 +291,28 @@ class TestCostRanking:
         got = om.rank_by_cost(moved, table, protocol)
         assert got == want
         assert len(got.entries) == 4
+        assert {e.config.device_kind for e in got.entries} == {kind}
+
+    @pytest.mark.parametrize("kind", ["fpga_recursive", "fpga_pipelined",
+                                      "gpu_table"])
+    def test_ranking_prices_no_design(self, kind):
+        space = tiny_config().space
+        device = (DeviceModel.gpu(reference_gpu_table(space))
+                  if kind == "gpu_table" else DeviceModel(kind=kind,
+                                                          res_ub=24.0))
+        protocol = om.OracleProtocol(train_steps=2, batch_size=8,
+                                     retune_steps=5)
+        table = om.accuracy_table(tiny_config(device=device), protocol)
+        with mock.patch.object(search, "predict_discrete",
+                               wraps=search.predict_discrete) as priced:
+            ranking = om.rank_by_cost(tiny_config(device=device), table,
+                                      protocol)
+        assert priced.call_count == 0
+        assert len(ranking.entries) == 4
+        for e in ranking.entries:
+            assert e.config.device_kind == kind
+            assert isinstance(e.config.op_indices, tuple)
+            assert (e.config.parallel_factors is None) == (kind == "gpu_table")
 
     def test_excluded_configs_carry_over(self, monkeypatch):
         protocol = om.OracleProtocol(train_steps=30, batch_size=8, lr=1e80)
@@ -296,6 +322,14 @@ class TestCostRanking:
         ranking = om.rank_by_cost(tiny_config(), table, protocol)
         assert ranking.excluded == table.excluded
         assert len(ranking.entries) == len(table.scores)
+        # ranked for another device, they carry that device's kind
+        moved = tiny_config(device=DeviceModel(kind="fpga_pipelined",
+                                               res_ub=24.0))
+        ranking = om.rank_by_cost(moved, table, protocol)
+        assert [(d.device_kind, d.op_indices, d.bit_widths, reason)
+                for d, reason in ranking.excluded] == \
+            [("fpga_pipelined", d.op_indices, d.bit_widths, reason)
+             for d, reason in table.excluded]
 
     def test_precision_sharing_must_match(self):
         protocol = om.OracleProtocol(train_steps=2, batch_size=8)

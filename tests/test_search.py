@@ -488,6 +488,12 @@ class TestDerive:
         assert predicted["resource"] == 4.0
 
 
+def priced(space, device, design, pfs):
+    """The exact metrics of `design` at retuned parallel factors `pfs`."""
+    return predict_discrete(space, device, design.op_indices,
+                            design.bit_widths, pfs)
+
+
 class TestRetune:
     def test_invert_resource_formula(self):
         # single op, budget exactly psi(16) * 2^5: continuous descent + repair
@@ -503,9 +509,9 @@ class TestRetune:
         cm.initial_perf_norm()
         design = DerivedDesign("fpga_recursive", [0], [16],
                                [int(round(pf0[0]))], False)
-        (tuned,) = retune_parallel_factors([design], cm)
-        assert tuned.parallel_factors == [5]
-        assert tuned.predicted["resource"] == 32.0
+        (pfs,) = retune_parallel_factors([design], cm)
+        assert pfs == [5]
+        assert priced(space, device, design, pfs)["resource"] == 32.0
 
     def test_doubling_budget_never_hurts(self):
         space = small_space(quant=QuantLevels((4, 8, 16)))
@@ -515,8 +521,8 @@ class TestRetune:
             device = DeviceModel.fpga_recursive(bound)
             cm = CostModel(space, device, CostHyperparams(res_norm=bound))
             cm.initial_perf_norm()
-            (tuned,) = retune_parallel_factors([design], cm)
-            lat[bound] = tuned.predicted["latency_total"]
+            (pfs,) = retune_parallel_factors([design], cm)
+            lat[bound] = priced(space, device, design, pfs)["latency_total"]
         assert lat[64.0] <= lat[32.0]
 
     def test_resource_free_bits_cap_at_pf_max(self):
@@ -526,9 +532,9 @@ class TestRetune:
         cm = CostModel(space, device, hyper)
         cm.initial_perf_norm()
         design = DerivedDesign("fpga_recursive", [0, 0], [4, 4], [3, 3], False)
-        (tuned,) = retune_parallel_factors([design], cm)
-        assert tuned.parallel_factors == [5, 5]
-        assert tuned.predicted["resource"] == 0.0
+        (pfs,) = retune_parallel_factors([design], cm)
+        assert pfs == [5, 5]
+        assert priced(space, device, design, pfs)["resource"] == 0.0
 
     def test_infeasible_budget_reported(self):
         space = small_space(quant=QuantLevels((4, 8, 16)))
@@ -551,8 +557,8 @@ class TestRetune:
         cm = CostModel(space, device, CostHyperparams(res_norm=12.0))
         cm.initial_perf_norm()
         design = DerivedDesign("fpga_pipelined", [0, 1], [16, 16], [5, 5], False)
-        (tuned,) = retune_parallel_factors([design], cm)
-        assert tuned.predicted["resource"] <= 12.0
+        (pfs,) = retune_parallel_factors([design], cm)
+        assert priced(space, device, design, pfs)["resource"] <= 12.0
 
     @pytest.mark.parametrize("kind", ["fpga_recursive", "fpga_pipelined"])
     def test_leaves_the_callers_model_unchanged(self, kind):
@@ -678,8 +684,8 @@ class TestRetuneMatchesScalarObjective:
             with pytest.raises(InfeasibleError):
                 retune_parallel_factors([design], cm, steps=steps, lr=lr)
             return
-        (tuned,) = retune_parallel_factors([design], cm, steps=steps, lr=lr)
-        assert tuned.parallel_factors == want
+        (pfs,) = retune_parallel_factors([design], cm, steps=steps, lr=lr)
+        assert pfs == want
 
 
 class TestRetuneLanes:
@@ -734,11 +740,11 @@ class TestRetuneLanes:
                    DerivedDesign(kind, [1, 1], [16, 16], [top, top], False),
                    DerivedDesign(kind, [0, 0], [4, 4], [0, 0], False)]
         together = retune_parallel_factors(designs, cm, steps=0)
-        for design, tuned in zip(designs, together):
-            assert [tuned] == retune_parallel_factors([design], cm, steps=0)
-            assert tuned.predicted["resource"] <= 20.0
+        for design, pfs in zip(designs, together):
+            assert [pfs] == retune_parallel_factors([design], cm, steps=0)
+            assert priced(space, device, design, pfs)["resource"] <= 20.0
         # lane 0 rounds to 24 DSPs at its start: the repair lowered it
-        assert together[0].parallel_factors != [top, top]
+        assert together[0] != [top, top]
 
     def test_infeasible_lane_named(self):
         space = small_space(quant=QuantLevels((4, 8, 16)))
