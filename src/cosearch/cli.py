@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import yaml
@@ -25,7 +24,8 @@ from . import oracle as oraclemod
 from .costmodel import (CostError, CostHyperparams, DeviceModel,
                         GpuLatencyTable)
 from .search import (DerivedDesign, InfeasibleError, SearchConfig, SearchError,
-                     config_hash, predict_discrete, retrain_design, run_search)
+                     config_hash, map_workers, predict_discrete,
+                     retrain_design, run_search)
 from .supernet import QuantLevels, SearchSpace, SpaceError
 
 ENV_OUTPUT_DIR = "COSEARCH_OUTPUT_DIR"
@@ -152,22 +152,20 @@ def _check_type(path, value, kind):
         if isinstance(value, bool) or not isinstance(value, int):
             fail("an integer")
         return value
-    if kind is float:
+    if value is None and kind in ("optional_float", "optional_str"):
+        return None
+    if kind in (float, "optional_float"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             fail("a number")
+        # an optional float's owner checks its range, if a float can hold it
+        if not abs(value) <= sys.float_info.max and (
+                kind is float or isinstance(value, int)):
+            fail("a finite number")
         return float(value)
-    if kind is str:
+    if kind in (str, "optional_str"):
         if not isinstance(value, str):
             fail("a string")
         return value
-    if kind == "optional_float":
-        if value is None:
-            return None
-        return _check_type(path, value, float)
-    if kind == "optional_str":
-        if value is None:
-            return None
-        return _check_type(path, value, str)
     if kind == "int_list":
         if not isinstance(value, list) or not value:
             fail("a non-empty list of integers")
@@ -220,10 +218,6 @@ def load_config_file(path) -> dict:
 def build_search_config(doc, seed=None, device_kind=None) -> SearchConfig:
     """Turn a validated config document into runnable objects."""
     sp, dv, se, da = doc["space"], doc["device"], doc["search"], doc["data"]
-    if sp["num_classes"] != da["classes"]:
-        raise ConfigFileError(
-            f"space.num_classes ({sp['num_classes']}) must equal data.classes "
-            f"({da['classes']})")
     try:
         space = SearchSpace(
             num_blocks=sp["blocks"],
@@ -451,20 +445,14 @@ def cmd_search(args) -> int:
                for s in seeds]
     dataset = datamod.generate_dataset(configs[0].data)
 
-    def one(config):
-        return config, run_search(config, dataset=dataset)
-
-    if args.workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(one, configs))
-    else:
-        results = [one(c) for c in configs]
+    reports = map_workers(lambda c: run_search(c, dataset=dataset), configs,
+                          args.workers)
 
     # only now: a config error or an infeasible budget leaves no directory
     out = _out_dir(doc, args.output)
     status = EXIT_OK
     summary = []
-    for config, report in results:
+    for config, report in zip(configs, reports):
         stem = os.path.join(out, f"seed{config.seed}")
         rep_doc = report_document(report)
         if report.design is not None:
@@ -493,7 +481,7 @@ def cmd_search(args) -> int:
     if len(seeds) > 1:
         write_json(os.path.join(out, "summary.json"),
                    {"schema": "cosearch-summary-v1",
-                    "config_hash": results[0][1].config_hash,
+                    "config_hash": reports[0].config_hash,
                     "runs": sorted(summary, key=lambda r: r["seed"])})
     return status
 

@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from . import tensorcore as tc
-from .supernet import OpSpec, PhiArray, SearchSpace
+from .supernet import OpSpec, SearchSpace
 from .tensorcore import Tensor
 
 
@@ -207,12 +207,6 @@ class DeviceModel:
         # DSP scale; the GPU kind has no penalty
         return self.res_ub if self.kind != "gpu_table" else 1.0
 
-    @property
-    def pf_layout(self):
-        # recursive: one pf per shared op IP; pipelined: one per (block, op)
-        return {"fpga_recursive": "per_op", "fpga_pipelined": "per_block_op",
-                "gpu_table": None}[self.kind]
-
     @classmethod
     def fpga_recursive(cls, res_ub, pf_max=None):
         return cls(kind="fpga_recursive", res_ub=float(res_ub), pf_max=pf_max)
@@ -234,12 +228,15 @@ class CostHyperparams:
     res_norm: float = 1.0  # divisor of the penalty exponent RES - RES_ub
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta < 0:
-            raise CostError("alpha must be positive and beta non-negative")
-        if self.base <= 1.0:
-            raise CostError(f"penalty base must exceed 1, got {self.base}")
-        if self.res_norm <= 0:
-            raise CostError("res_norm must be positive")
+        if not (0 < self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise CostError("alpha must be positive and beta non-negative, "
+                            "both finite")
+        if not 1.0 < self.base < math.inf:
+            raise CostError(f"penalty base must be finite and exceed 1, got "
+                            f"{self.base}")
+        if not 0 < self.res_norm < math.inf:
+            raise CostError(f"res_norm must be finite and positive, got "
+                            f"{self.res_norm}")
 
 
 @dataclass
@@ -264,8 +261,9 @@ class CostModel:
         self.hyper = hyper if hyper is not None else CostHyperparams()
         self.perf_norm = 1.0
         n, m, bits = space.num_blocks, space.num_ops, space.quant.bit_widths
-        self._pf_shape = {"per_op": (m,), "per_block_op": (n, m)}.get(
-            device.pf_layout)
+        # recursive: one pf per shared op IP; pipelined: one per (block, op)
+        self._pf_shape = {"fpga_recursive": (m,),
+                          "fpga_pipelined": (n, m)}.get(device.kind)
         # N x M x Q per-level latencies
         if device.kind == "gpu_table":
             device.table.validate(m, bits)
@@ -376,8 +374,9 @@ class CostModel:
 
     # -- the whole relaxed cost side in one call --------------------------------
 
-    def assemble(self, theta, phi: PhiArray, pf, tau, rng=None) -> CostOutputs:
-        """Expectation costs for the current logits.
+    def assemble(self, theta, phi, pf, tau, rng=None) -> CostOutputs:
+        """Expectation costs for the current logits: theta N x M, phi
+        N x M x Q, or one shared Q-vector.
 
         rng=None gives noise-free softmax weights (reporting / gradient
         checks); with an rng every weight vector gets its own concrete
@@ -386,17 +385,16 @@ class CostModel:
         the Q shared uniforms come first, then N x M op uniforms).
         """
         self._check_pf(pf)
-        n, m, q = phi.n, phi.m, phi.q
-        (phi_logits,) = phi.parameters()
+        (n, m), q = theta.values.shape, phi.values.shape[-1]
         u_theta = u_phi = None
-        if rng is not None and phi.shared_precision:
+        if rng is not None and phi.values.ndim == 1:
             u = rng.random(q + n * m)
             u_phi, u_theta = u[:q], u[q:].reshape(n, m)
         elif rng is not None:
             u = rng.random((n, m + m * q))
             u_theta, u_phi = u[:, :m], u[:, m:].reshape(n, m, q)
         theta_w = tc.gumbel_softmax_rows(theta, tau, u_theta)
-        phi_w = tc.gumbel_softmax_rows(phi_logits, tau, u_phi)
+        phi_w = tc.gumbel_softmax_rows(phi, tau, u_phi)
         return self.apply_pf(theta_w, self.terms(theta_w, phi_w), pf)
 
     def _check_pf(self, pf):

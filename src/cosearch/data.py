@@ -10,7 +10,7 @@ easily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class DatasetSpec:
             raise DataError("samples_per_class must be positive")
         if min(self.height, self.width, self.channels) < 1:
             raise DataError("image dimensions must be positive")
+        if self.seed < 0:
+            raise DataError(f"data seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.label_noise < 1.0:
             raise DataError(f"label_noise must be in [0, 1), got {self.label_noise}")
 
@@ -45,7 +47,6 @@ class DatasetSpec:
 class Dataset:
     images: np.ndarray  # (S, C, H, W) float64
     labels: np.ndarray  # (S,) int64
-    spec: DatasetSpec = field(default=None)
 
     def __len__(self):
         return self.images.shape[0]
@@ -87,7 +88,7 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
         flip = rng.random(len(labels)) < spec.label_noise
         shift = rng.integers(1, classes, len(labels))
         labels[flip] = (labels[flip] + shift[flip]) % classes
-    return Dataset(images=images, labels=labels, spec=spec)
+    return Dataset(images=images, labels=labels)
 
 
 def split(dataset: Dataset, fractions, seed: int):
@@ -116,8 +117,7 @@ def split(dataset: Dataset, fractions, seed: int):
                 f"split fraction {fractions[i]} yields an empty split")
         order = np.sort(np.asarray(bucket))
         out.append(Dataset(images=dataset.images[order],
-                           labels=dataset.labels[order],
-                           spec=dataset.spec))
+                           labels=dataset.labels[order]))
     return tuple(out)
 
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import data as datamod
 from .costmodel import CostHyperparams, CostModel, DeviceModel
-from .search import (DerivedDesign, SearchConfig, config_hash,
+from .search import (DerivedDesign, SearchConfig, config_hash, map_workers,
                      retune_parallel_factors, train_path)
 from .supernet import SearchSpace, Supernet
 from .tensorcore import NonFiniteError
@@ -71,10 +70,11 @@ class OracleProtocol:
     retune_lr: float = SearchConfig.retune_lr
 
     def __post_init__(self):
-        for name in ("train_steps", "batch_size", "workers"):
+        for name, least in (("train_steps", 1), ("batch_size", 1),
+                            ("workers", 1), ("seed", 0)):
             value = getattr(self, name)
-            if value < 1:
-                raise OracleError(f"{name} must be >= 1, got {value}")
+            if value < least:
+                raise OracleError(f"{name} must be >= {least}, got {value}")
         for name in ("lr", "retune_lr"):
             value = getattr(self, name)
             if not value > 0:
@@ -181,8 +181,7 @@ def exact_vertex_costs(space: SearchSpace, device: DeviceModel,
 
 def _train_acc_loss(config: SearchConfig, protocol: OracleProtocol,
                     design: DerivedDesign, train, val) -> float:
-    net = Supernet(config.space, seed=protocol.seed,
-                   shared_precision=config.device.shared_precision)
+    net = Supernet(config.space, seed=protocol.seed)
     rng = np.random.default_rng(
         np.random.SeedSequence([protocol.seed, 0x0a11]))
     train_path(net, design, train, protocol.train_steps, protocol.batch_size,
@@ -219,14 +218,9 @@ def accuracy_table(config: SearchConfig, protocol: OracleProtocol = None,
         dataset = datamod.generate_dataset(config.data)
     train, val, _ = datamod.split(dataset, config.fractions, config.data.seed)
 
-    def job(design):
-        return evaluate_config_exact(config, protocol, design, train, val)
-
-    if protocol.workers > 1:
-        with ThreadPoolExecutor(max_workers=protocol.workers) as pool:
-            results = list(pool.map(job, configs))
-    else:
-        results = [job(c) for c in configs]
+    results = map_workers(
+        lambda design: evaluate_config_exact(config, protocol, design, train,
+                                             val), configs, protocol.workers)
     table = AccuracyTable([], [], config.device.shared_precision)
     for design, (acc_loss, reason) in zip(configs, results):
         if reason is None:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -140,11 +141,22 @@ class SearchConfig:
     def __post_init__(self):
         if self.hyper is None:
             self.hyper = CostHyperparams(res_norm=self.device.default_res_norm)
+        # the data the space is built for: its classes, image size, channels
+        sp = self.space
+        geometry = dict(num_classes=sp.num_classes, height=sp.input_hw[0],
+                        width=sp.input_hw[1], channels=sp.input_channels)
         if self.data is None:
-            self.data = datamod.DatasetSpec(num_classes=self.space.num_classes)
+            self.data = datamod.DatasetSpec(**geometry)
+        for name, want in geometry.items():
+            if getattr(self.data, name) != want:
+                raise SearchError(f"data.{name} is {getattr(self.data, name)}, "
+                                  f"but the space expects {want}")
+        if len(self.fractions) != 3:
+            raise SearchError(f"fractions needs train, validation and test "
+                              f"entries, got {list(self.fractions)}")
         for name, least in (("epochs", 1), ("steps_per_epoch", 1),
                             ("batch_size", 1), ("retrain_epochs", 1),
-                            ("retune_steps", 0)):
+                            ("retune_steps", 0), ("seed", 0)):
             value = getattr(self, name)
             if value < least:
                 raise SearchError(f"{name} must be >= {least}, got {value}")
@@ -294,8 +306,9 @@ def derive_architecture(state: SearchState) -> DerivedDesign:
     after the FPGA retune, `cosearch eval`)."""
     net, space, device = state.supernet, state.config.space, state.config.device
     ops = [int(np.argmax(net.theta.values[i])) for i in range(space.num_blocks)]
-    bits = [space.quant.bit_widths[net.phi.argmax(i, ops[i])]
-            for i in range(space.num_blocks)]
+    phi = net.phi.values
+    bits = [space.quant.bit_widths[int(np.argmax(
+        phi if net.shared_precision else phi[i, m]))] for i, m in enumerate(ops)]
     pfs = None
     if state.pf is not None:
         index = state.costmodel.pf_index(ops)
@@ -405,6 +418,17 @@ def retune_impl(design: DerivedDesign, state: SearchState) -> DerivedDesign:
 
 # -- full runs ---------------------------------------------------------------------
 
+def map_workers(fn, items, workers=1):
+    """[fn(item) for item in items], on `workers` threads when above 1.
+    Each thread records on its own tape (tensorcore keeps tapes per
+    thread), so callers keep results independent of `workers` by giving
+    every item its own state and generators."""
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 @dataclass
 class SearchReport:
     config: dict
@@ -507,8 +531,7 @@ def retrain_design(design: DerivedDesign, config: SearchConfig, dataset=None,
     epochs = config.retrain_epochs if epochs is None else epochs
     if epochs < 1:
         raise SearchError(f"retrain epochs must be >= 1, got {epochs}")
-    net = Supernet(config.space, seed=int(config.seed) + seed_salt,
-                   shared_precision=config.device.shared_precision)
+    net = Supernet(config.space, seed=int(config.seed) + seed_salt)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, seed_salt]))
     steps = epochs * math.ceil(len(train) / config.batch_size)
     train_path(net, design, train, steps, config.batch_size, config.lr_weights,

@@ -71,13 +71,9 @@ class SearchSpace:
     num_classes: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel_sizes", tuple(int(k) for k in self.kernel_sizes))
-        object.__setattr__(self, "expansion_ratios",
-                           tuple(int(e) for e in self.expansion_ratios))
-        object.__setattr__(self, "channel_plan", tuple(int(c) for c in self.channel_plan))
-        object.__setattr__(self, "downsample_blocks",
-                           tuple(int(b) for b in self.downsample_blocks))
-        object.__setattr__(self, "input_hw", tuple(int(v) for v in self.input_hw))
+        for name in ("kernel_sizes", "expansion_ratios", "channel_plan",
+                     "downsample_blocks", "input_hw"):
+            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
         if self.num_blocks < 1:
             raise SpaceError("num_blocks must be >= 1")
         if len(self.channel_plan) != self.num_blocks:
@@ -94,6 +90,13 @@ class SearchSpace:
         if bad:
             raise SpaceError(f"downsample block {bad[0]} out of range "
                              f"1..{self.num_blocks}")
+        if len(self.input_hw) != 2:
+            raise SpaceError(f"input_hw needs (height, width), got "
+                             f"{list(self.input_hw)}")
+        if min((self.input_channels, self.stem_channels) + self.channel_plan) < 1:
+            raise SpaceError(
+                f"channel counts must be >= 1, got input {self.input_channels}, "
+                f"stem {self.stem_channels}, plan {list(self.channel_plan)}")
         # walk the geometry once so a bad plan fails here, naming the block
         h, w = self.input_hw
         if h < 1 or w < 1:
@@ -165,40 +168,6 @@ def fake_quantize(weights: Tensor, q: int) -> Tensor:
     return tc.straight_through(weights, snapped)
 
 
-class PhiArray:
-    """Bit-width sampling logits.
-
-    Logically N x M x Q; with shared precision (GPU) every (block, op) slice
-    aliases one Q-vector, so gradients from all blocks land in it.
-    """
-
-    def __init__(self, n, m, q, shared_precision=False):
-        self.n, self.m, self.q = n, m, q
-        self.shared_precision = shared_precision
-        if shared_precision:
-            self._param = Parameter(np.zeros(q))
-        else:
-            self._param = Parameter(np.zeros((n, m, q)))
-
-    def logits(self, i, m) -> Tensor:
-        if self.shared_precision:
-            return self._param
-        return self._param[(i, m)]
-
-    def parameters(self):
-        return [self._param]
-
-    @property
-    def values(self):
-        """Dense N x M x Q view of the current logits."""
-        if self.shared_precision:
-            return np.broadcast_to(self._param.values, (self.n, self.m, self.q))
-        return self._param.values
-
-    def argmax(self, i, m) -> int:
-        return int(np.argmax(self.values[i, m]))
-
-
 @dataclass
 class _OpWeights:
     expand: Parameter
@@ -253,8 +222,10 @@ class Supernet:
                                            (c_last, space.num_classes)))
         self.head_b = Parameter(np.zeros(space.num_classes))
         self.theta = Parameter(np.zeros((space.num_blocks, space.num_ops)))
-        self.phi = PhiArray(space.num_blocks, space.num_ops, len(space.quant),
-                            shared_precision=shared_precision)
+        # bit-width logits: one shared Q-vector (GPU), else N x M x Q
+        q = len(space.quant)
+        self.phi = Parameter(np.zeros(q) if shared_precision
+                             else np.zeros((space.num_blocks, space.num_ops, q)))
         self.exec_counts = np.zeros((space.num_blocks, space.num_ops), dtype=np.int64)
         self.quant_counts = np.zeros(
             (space.num_blocks, space.num_ops, len(space.quant)), dtype=np.int64)
@@ -275,12 +246,12 @@ class Supernet:
         return params
 
     def arch_parameters(self):
-        return [self.theta] + self.phi.parameters()
+        return [self.theta, self.phi]
 
     # -- forward passes --------------------------------------------------------
 
     def _stem(self, images):
-        x = tc.conv2d(Tensor(images), self.stem_w, stride=1)
+        x = tc.conv2d(Tensor(images), self.stem_w)
         return tc.relu(tc.channel_affine(x, self.stem_gamma, self.stem_beta))
 
     def _head(self, x):
@@ -290,11 +261,11 @@ class Supernet:
     def _run_op(self, x, i, m, q):
         op = self.blocks[i][m]
         spec = self.space.op_spec(i, m)
-        h = tc.conv2d(x, fake_quantize(op.expand, q), stride=1)
+        h = tc.conv2d(x, fake_quantize(op.expand, q))
         h = tc.relu(tc.channel_affine(h, op.gamma1, op.beta1))
         h = tc.depthwise_conv2d(h, fake_quantize(op.dw, q), stride=spec.stride)
         h = tc.relu(tc.channel_affine(h, op.gamma2, op.beta2))
-        h = tc.conv2d(h, fake_quantize(op.project, q), stride=1)
+        h = tc.conv2d(h, fake_quantize(op.project, q))
         return tc.relu(tc.channel_affine(h, op.gamma3, op.beta3))
 
     def forward_train(self, images, labels, tau, rng):
@@ -306,17 +277,13 @@ class Supernet:
         """
         bits = self.space.quant.bit_widths
         x = self._stem(images)
-        shared_gs = None
         if self.shared_precision:
-            shared_gs = tc.gumbel_softmax(self.phi.logits(0, 0), tau, rng=rng,
-                                          hard=True)
+            phi_gs = tc.gumbel_softmax(self.phi, tau, rng=rng, hard=True)
         for i in range(self.space.num_blocks):
             theta_gs = tc.gumbel_softmax(self.theta[i], tau, rng=rng, hard=True)
             m = int(np.argmax(theta_gs.values))
-            if shared_gs is not None:
-                phi_gs = shared_gs
-            else:
-                phi_gs = tc.gumbel_softmax(self.phi.logits(i, m), tau, rng=rng,
+            if not self.shared_precision:
+                phi_gs = tc.gumbel_softmax(self.phi[(i, m)], tau, rng=rng,
                                            hard=True)
             qi = int(np.argmax(phi_gs.values))
             self.exec_counts[i, m] += 1

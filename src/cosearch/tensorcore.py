@@ -33,20 +33,16 @@ class NonFiniteError(TensorError):
     pass
 
 
-_tls = threading.local()
+class _ThreadTapes(threading.local):
+    def __init__(self):
+        self.stack = []  # this thread's live tapes, innermost last
 
 
-def _tape_stack():
-    stack = getattr(_tls, "tapes", None)
-    if stack is None:
-        stack = []
-        _tls.tapes = stack
-    return stack
+_tapes = _ThreadTapes()
 
 
 def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _tapes.stack[-1] if _tapes.stack else None
 
 
 class Tape:
@@ -76,14 +72,14 @@ class Tape:
         for p in self._frozen:
             p.requires_grad = False
         self._errstate.__enter__()
-        _tape_stack().append(self)
+        _tapes.stack.append(self)
         return self
 
     def __exit__(self, *exc):
         for p in self._frozen:
             p.requires_grad = True
         self._errstate.__exit__(*exc)
-        popped = _tape_stack().pop()
+        popped = _tapes.stack.pop()
         assert popped is self
         return False
 
@@ -363,34 +359,18 @@ def _pad_hw(x, pad):
     return xp
 
 
-def _im2col(x, k, stride):
-    """(B,C,H,W) -> patches (B,C,k,k,Ho,Wo) with same padding (k odd)."""
-    pad = k // 2
-    b, c, h, w = x.shape
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-    xp = _pad_hw(x, pad)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    # win: (B, C, Hp-k+1, Wp-k+1, k, k) -> strided then to (B,C,k,k,Ho,Wo)
-    win = win[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)), ho, wo
+def _im2col(x, k):
+    """(B,C,H,W) -> patches (B,C,k,k,H,W) with same padding (k odd)."""
+    win = np.lib.stride_tricks.sliding_window_view(_pad_hw(x, k // 2), (k, k),
+                                                   axis=(2, 3))
+    # win: (B, C, H, W, k, k) -> (B, C, k, k, H, W)
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
 
 
-def _col2im(cols, x_shape, k, stride):
-    """Scatter-add of _im2col: cols (B,C,k,k,Ho,Wo) -> (B,C,H,W)."""
-    pad = k // 2
-    b, c, h, w = x_shape
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-    ho, wo = cols.shape[4], cols.shape[5]
-    for di in range(k):
-        for dj in range(k):
-            xp[:, :, di:di + stride * ho:stride,
-               dj:dj + stride * wo:stride] += cols[:, :, di, dj]
-    return xp[:, :, pad:pad + h, pad:pad + w]
-
-
-def conv2d(x, weight, stride=1):
-    """Same-padding 2-D convolution; x (B,C,H,W), weight (Co,C,k,k)."""
+def conv2d(x, weight):
+    """Same-padding stride-1 2-D convolution; x (B,C,H,W), weight
+    (Co,C,k,k).  The input gradient exists through a 1x1 kernel only: the
+    one k>1 conv is the stem, whose input is the images."""
     if x.values.ndim != 4 or weight.values.ndim != 4:
         raise ShapeError(
             f"conv2d expects 4-D input/weight, got {x.values.shape} and "
@@ -401,32 +381,25 @@ def conv2d(x, weight, stride=1):
     if x.values.shape[1] != ci:
         raise ShapeError(
             f"conv2d: input has {x.values.shape[1]} channels, weight expects {ci}")
+    if k > 1 and x.requires_grad:
+        raise ShapeError(f"conv2d: no input gradient through a {k}x{k} kernel")
     b, _, h, w = x.values.shape
-    if k == 1 and stride == 1:
-        ho, wo = h, w
-        cols_mat = x.values.reshape(b, ci, h * w)
-    else:
-        cols, ho, wo = _im2col(x.values, k, stride)
-        cols_mat = cols.reshape(b, ci * k * k, ho * wo)
+    cols = x.values if k == 1 else _im2col(x.values, k)
+    cols_mat = cols.reshape(b, ci * k * k, h * w)
     w_mat = weight.values.reshape(co, ci * k * k)
-    out = (w_mat @ cols_mat).reshape(b, co, ho, wo)
+    out = (w_mat @ cols_mat).reshape(b, co, h, w)
     need_x, need_w = x.requires_grad, weight.requires_grad
 
     def grad_fn(g):
-        g_mat = g.reshape(b, co, ho * wo)
+        g_mat = g.reshape(b, co, h * w)
         dx = dw = None
         if need_w:
             # fold the batch into the contraction: one GEMM
-            g2 = g_mat.transpose(1, 0, 2).reshape(co, b * ho * wo)
-            c2 = cols_mat.transpose(1, 0, 2).reshape(ci * k * k, b * ho * wo)
+            g2 = g_mat.transpose(1, 0, 2).reshape(co, b * h * w)
+            c2 = cols_mat.transpose(1, 0, 2).reshape(ci * k * k, b * h * w)
             dw = (g2 @ c2.T).reshape(weight.values.shape)
         if need_x:
-            dcols = np.matmul(w_mat.T[None], g_mat)
-            if k == 1 and stride == 1:
-                dx = dcols.reshape(x.values.shape)
-            else:
-                dx = _col2im(dcols.reshape(b, ci, k, k, ho, wo),
-                             x.values.shape, k, stride)
+            dx = np.matmul(w_mat.T[None], g_mat).reshape(x.values.shape)
         return dx, dw
     return _make(out, (x, weight), grad_fn, "conv2d")
 

@@ -88,13 +88,13 @@ def forward_soft(net, images, labels, tau):
     x = net._stem(images)
     shared_w = None
     if net.shared_precision:
-        shared_w = tc.gumbel_softmax(net.phi.logits(0, 0), tau)
+        shared_w = tc.gumbel_softmax(net.phi, tau)
     for i in range(net.space.num_blocks):
         theta_w = tc.gumbel_softmax(net.theta[i], tau)
         acc = None
         for m in range(net.space.num_ops):
             phi_w = shared_w if shared_w is not None \
-                else tc.gumbel_softmax(net.phi.logits(i, m), tau)
+                else tc.gumbel_softmax(net.phi[(i, m)], tau)
             op_out = None
             for qi, q in enumerate(bits):
                 term = net._run_op(x, i, m, q) * phi_w[qi]

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
-lines and timings.
+lines and timings.  Criteria 4, 5 and 7 are marked `slow` (minutes, not
+seconds); `pytest -m "not slow"` leaves them out while iterating.
 """
 
 import math
@@ -19,7 +20,7 @@ from cosearch import tensorcore as tc
 from cosearch.costmodel import (CostHyperparams, CostModel, DeviceModel,
                                 LayerGeom, psi, phi_cal, reference_gpu_table)
 from cosearch.search import SearchConfig, retrain_design, run_search
-from cosearch.supernet import PhiArray, QuantLevels, SearchSpace, Supernet
+from cosearch.supernet import QuantLevels, SearchSpace, Supernet
 from cosearch.tensorcore import Parameter, Tape, Tensor
 from reference_ops import (baseline_convnet_accuracy, finite_diff_check,
                            forward_soft)
@@ -88,7 +89,7 @@ class TestCriterion1GradientFidelity:
             pf0 = cm.initial_pf()
             cm.initial_perf_norm()
             net.theta.assign(rng.normal(0, 1.0, net.theta.values.shape))
-            p = net.phi.parameters()[0]
+            p = net.phi
             p.assign(rng.normal(0, 1.0, p.values.shape))
             pf = (Parameter(rng.uniform(1, 5, pf0.shape))
                   if pf0 is not None else None)
@@ -101,8 +102,7 @@ class TestCriterion1GradientFidelity:
                 out = cm.assemble(net.theta, net.phi, pf, tau)
                 return cm.total_loss(acc, out.perf_loss, out.resource)
 
-            params = ([net.theta] + net.phi.parameters()
-                      + ([pf] if pf is not None else []))
+            params = [net.theta, net.phi] + ([pf] if pf is not None else [])
             worst = max(worst, finite_diff_check(loss, params))
         return worst
 
@@ -159,11 +159,10 @@ class TestCriterion3VertexConsistency:
             theta = Parameter(np.array(
                 [[30.0 if m == cfg.op_indices[i] else -30.0 for m in range(3)]
                  for i in range(2)]))
-            phi = PhiArray(2, 3, 2)
             sat = np.full((2, 3, 2), -30.0)
             for i in range(2):
                 sat[i, :, bits.index(cfg.bit_widths[i])] = 30.0
-            phi.parameters()[0].assign(sat)
+            phi = Parameter(sat)
             out = cm.assemble(theta, phi, Parameter(pf_vals), tau=1.0)
             relaxed_L = cm.total_loss(Tensor(1.0), out.perf_loss,
                                       out.resource).item()
@@ -182,6 +181,7 @@ class TestCriterion3VertexConsistency:
                 f"deviation {worst:.2e}", started)
 
 
+@pytest.mark.slow
 class TestCriterion4OracleRecovery:
     def test_criterion_4(self):
         started = time.time()
@@ -205,6 +205,7 @@ class TestCriterion4OracleRecovery:
                 f"(ranks {ranks})", started)
 
 
+@pytest.mark.slow
 class TestCriterion5SearchProgress:
     def test_criterion_5(self, desk_reports):
         started = time.time()
@@ -229,7 +230,7 @@ class TestCriterion6DeviceContracts:
         cm = CostModel(space, device, CostHyperparams())
         cm.initial_perf_norm()
         theta = Parameter(np.random.default_rng(0).normal(size=(2, 2)))
-        phi = PhiArray(2, 2, 2, shared_precision=True)
+        phi = Parameter(np.zeros(2))  # the shared Q-vector
         stray_pf = Parameter(np.ones(2))
         stray_pf.grad[...] = 0.0
         with Tape() as tape:
@@ -294,19 +295,18 @@ class TestCriterion6DeviceContracts:
         rng = np.random.default_rng(1)
         for _ in range(200):
             theta = Parameter(rng.normal(0, 3, (3, 2)))
-            phi = PhiArray(3, 2, 3)
-            phi.parameters()[0].assign(rng.normal(0, 3, (3, 2, 3)))
+            phi = Parameter(rng.normal(0, 3, (3, 2, 3)))
             pf = Parameter(rng.uniform(0, 8, 2))
             out = cm.assemble(theta, phi, pf, tau=1.0)
             tw = tc.gumbel_softmax_rows(theta, 1.0)
-            _, r = piped.terms(tw, tc.gumbel_softmax_rows(phi.parameters()[0],
-                                                          1.0))
+            _, r = piped.terms(tw, tc.gumbel_softmax_rows(phi, 1.0))
             unshared = float((tw.values * r.values * 2.0 ** pf.values).sum())
             assert out.resource.item() <= unshared + 1e-9
         _report("criterion 6c: recursive shared resource never exceeds the "
                 "unshared sum (200 states)", started)
 
 
+@pytest.mark.slow
 class TestCriterion7EndToEndQuality:
     def test_criterion_7(self, desk_reports):
         started = time.time()

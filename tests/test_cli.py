@@ -155,6 +155,19 @@ class TestSearchCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert [r["seed"] for r in summary["runs"]] == [2, 3]
 
+    def test_workers_write_the_same_bytes(self, small_cfg, tmp_path):
+        # each seed owns its state and generators, so threads change nothing
+        for workers in ("1", "2"):
+            assert cli.main(["search", "-c", small_cfg, "--seeds", "1..3",
+                             "--workers", workers,
+                             "--output", str(tmp_path / workers)]) == 0
+        names = sorted(p.name for p in (tmp_path / "1").iterdir()
+                       if not p.name.endswith(".meta.txt"))  # wall clock
+        assert len(names) == 10  # 3 x (report, design, curves) + summary
+        for name in names:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
+
     def test_env_var_output_dir(self, small_cfg, tmp_path, monkeypatch):
         env_dir = tmp_path / "envout"
         monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(env_dir))
@@ -266,6 +279,54 @@ class TestSearchCommand:
         report = json.loads((tmp_path / "o" / "seed1_report.json").read_text())
         assert report["aborted"] is not None
         assert report["design"] is None
+
+
+class TestRefusedInput:
+    """Inputs that once ended in a traceback or a numerical abort, or ran a
+    network the cost model does not price: each exits 1 with a one-line
+    error and writes nothing."""
+
+    CASES = [
+        ("search", ["--seed", "-1"], {}),
+        ("search", ["--seeds=-2..1"], {}),
+        ("search", [], {"search.seed": -3}),
+        ("search", [], {"data.seed": -2}),
+        ("enumerate", ["--protocol-seed", "-1"], {}),
+        ("search", [], {"search.alpha": math.nan}),
+        ("search", [], {"search.beta": math.nan}),
+        ("search", [], {"search.penalty_base": math.inf}),
+        ("search", [], {"search.penalty_res_norm": math.nan}),
+        ("search", [], {"search.lr_weights": math.inf}),
+        ("search", [], {"data.noise_std": math.nan}),
+        ("search", [], {"search.alpha": 10 ** 400}),
+        ("search", [], {"device.resource_bound": 10 ** 400}),
+        ("search", [], {"space.input_hw": [8]}),
+        ("search", [], {"space.input_hw": [8, 8, 8]}),
+        ("search", [], {"space.stem_channels": 0}),
+        ("search", [], {"space.input_channels": 0}),
+        ("search", [], {"space.channel_plan": [0, 8]}),
+        ("search", [], {"data.fractions": [0.5, 0.5]}),
+        ("search", [], {"data.fractions": [0.4, 0.3, 0.2, 0.1]}),
+        ("search", [], {"data.channels": 1}),
+        ("search", [], {"data.height": 12}),
+    ]
+
+    @pytest.mark.parametrize("command, flags, edits", CASES, ids=[
+        " ".join([c, *f, *(f"{k}={str(v)[:12]}" for k, v in e.items())])
+        for c, f, e in CASES])
+    def test_exits_1_without_traceback(self, tmp_path, capsys, command,
+                                       flags, edits):
+        doc = yaml.safe_load(SMALL_YAML.format(out=tmp_path / "o"))
+        for path, value in edits.items():
+            section, key = path.split(".")
+            doc[section][key] = value
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(doc))  # nan and inf as .nan and .inf
+        assert cli.main([command, "-c", str(cfg), *flags]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: ", "error: ")), err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestGpuFlow:

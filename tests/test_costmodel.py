@@ -12,7 +12,7 @@ from cosearch.costmodel import (DEVICE_KINDS, CostError, CostHyperparams,
                                 mbconv_layers, op_work, phi_cal, psi,
                                 reference_gpu_table)
 from cosearch.search import predict_discrete
-from cosearch.supernet import PhiArray, QuantLevels, SearchSpace
+from cosearch.supernet import QuantLevels, SearchSpace
 from cosearch.tensorcore import Parameter, Tape, Tensor
 
 from reference_ops import finite_diff_check, initial_parallel_factors, stack
@@ -225,13 +225,11 @@ class TestTotalResource:
         piped = CostModel(space, DeviceModel.fpga_pipelined(900))
         for _ in range(100):
             theta = Parameter(rng.normal(0, 3, (2, 2)))
-            phi = PhiArray(2, 2, 2)
-            phi.parameters()[0].assign(rng.normal(0, 3, (2, 2, 2)))
+            phi = Parameter(rng.normal(0, 3, (2, 2, 2)))
             pf = Parameter(rng.uniform(0, 6, 2))
             out = cm.assemble(theta, phi, pf, tau=1.0)
             theta_ws = tc.gumbel_softmax_rows(theta, 1.0)
-            _, r = piped.terms(theta_ws, tc.gumbel_softmax_rows(
-                phi.parameters()[0], 1.0))
+            _, r = piped.terms(theta_ws, tc.gumbel_softmax_rows(phi, 1.0))
             unshared = float((theta_ws.values * r.values
                               * 2.0 ** pf.values).sum())
             assert out.resource.item() <= unshared + 1e-9
@@ -239,7 +237,7 @@ class TestTotalResource:
     def test_shared_needs_per_op_layout(self):
         cm = CostModel(self.space, DeviceModel.fpga_recursive(900))
         theta = Parameter(np.zeros((2, 2)))
-        phi = PhiArray(2, 2, 2)
+        phi = Parameter(np.zeros((2, 2, 2)))
         bad_pf = Parameter(np.zeros((2, 2)))  # per-(block,op) layout
         with pytest.raises(CostError, match="pf"):
             cm.assemble(theta, phi, bad_pf, tau=1.0)
@@ -356,9 +354,7 @@ class TestAssembleGradients:
             rng = np.random.default_rng(seed)
             theta = Parameter(rng.normal(0, 1.5, (2, 2)))
             shared = device.shared_precision
-            phi = PhiArray(2, 2, 2, shared_precision=shared)
-            phi.parameters()[0].assign(
-                rng.normal(0, 1.5, phi.parameters()[0].values.shape))
+            phi = Parameter(rng.normal(0, 1.5, (2,) if shared else (2, 2, 2)))
             if kind == "fpga_recursive":
                 pf = Parameter(rng.uniform(1, 5, 2))
             elif kind == "fpga_pipelined":
@@ -372,7 +368,7 @@ class TestAssembleGradients:
             def loss():
                 out = cm.assemble(theta, phi, pf, tau)
                 return cm.total_loss(Tensor(acc), out.perf_loss, out.resource)
-            params = [theta] + phi.parameters() + ([pf] if pf is not None else [])
+            params = [theta, phi] + ([pf] if pf is not None else [])
             worst = max(worst, finite_diff_check(loss, params))
         assert worst < 1e-4, f"{kind}: {worst}"
 
@@ -381,7 +377,7 @@ class TestAssembleGradients:
         cm = CostModel(space, DeviceModel.gpu(reference_gpu_table(space)))
         cm.initial_perf_norm()
         theta = Parameter(np.random.default_rng(0).normal(size=(2, 2)))
-        phi = PhiArray(2, 2, 2, shared_precision=True)
+        phi = Parameter(np.zeros(2))  # the shared Q-vector
         stray_pf = Parameter(np.ones(2))  # not wired into the gpu model
         stray_pf.grad[...] = 0.0
         theta.grad[...] = 0.0
@@ -393,11 +389,15 @@ class TestAssembleGradients:
         assert np.any(theta.grad != 0)
 
     def test_gpu_quant_weights_equal_across_blocks(self):
+        # the shared Q-vector weighs every (block, op) alike: its latency
+        # terms are those of its N x M x Q broadcast
         space = fpga_space(quant=QuantLevels((8, 16)))
-        phi = PhiArray(2, 2, 2, shared_precision=True)
-        phi.parameters()[0].assign(np.array([0.7, -0.1]))
-        a = tc.gumbel_softmax(phi.logits(0, 0), 1.0)
-        b = tc.gumbel_softmax(phi.logits(1, 1), 1.0)
+        cm = CostModel(space, DeviceModel.gpu(reference_gpu_table(space)))
+        theta_w = Tensor(np.full((2, 2), 0.5))
+        shared = tc.gumbel_softmax(Parameter(np.array([0.7, -0.1])), 1.0)
+        a, _ = cm.terms(theta_w, shared)
+        b, _ = cm.terms(theta_w, Tensor(np.broadcast_to(shared.values,
+                                                        (2, 2, 2))))
         assert np.array_equal(a.values, b.values)
 
 
@@ -413,12 +413,12 @@ def reference_assemble(cm, theta, phi, pf, tau, rng=None):
     res_vec = Tensor([psi(q) for q in bits])
     shared_w = None
     if device.shared_precision:
-        shared_w = tc.gumbel_softmax(phi.logits(0, 0), tau, rng=rng)
+        shared_w = tc.gumbel_softmax(phi, tau, rng=rng)
     theta_ws, phi_ws = [], []
     for i in range(n):
         theta_ws.append(tc.gumbel_softmax(theta[i], tau, rng=rng))
         phi_ws.append([shared_w if shared_w is not None
-                       else tc.gumbel_softmax(phi.logits(i, m), tau, rng=rng)
+                       else tc.gumbel_softmax(phi[(i, m)], tau, rng=rng)
                        for m in range(m_count)])
 
     block_perfs, block_ress = [], []
@@ -431,7 +431,7 @@ def reference_assemble(cm, theta, phi, pf, tau, rng=None):
                 perfs.append((w * lat).sum())
                 ress.append(Tensor(0.0))
                 continue
-            p = pf[m] if device.pf_layout == "per_op" else pf[(i, m)]
+            p = pf[m] if device.kind == "fpga_recursive" else pf[(i, m)]
             lat = Tensor([phi_cal(q) * op_work(space, i, m) for q in bits])
             perfs.append((w * lat).sum() * tc.pow2(-p))
             ress.append((w * res_vec).sum() * tc.pow2(p))
@@ -499,14 +499,14 @@ def random_state(cm, seed):
     n, m, q = space.num_blocks, space.num_ops, len(space.quant)
     rng = np.random.default_rng(seed)
     theta = Parameter(rng.normal(0, 3, (n, m)))
-    phi = PhiArray(n, m, q, shared_precision=device.shared_precision)
-    phi.parameters()[0].assign(rng.normal(0, 3, phi.parameters()[0].shape))
+    phi = Parameter(rng.normal(0, 3, (q,) if device.shared_precision
+                               else (n, m, q)))
     pf = None
-    if device.pf_layout == "per_op":
+    if device.kind == "fpga_recursive":
         pf = Parameter(rng.uniform(0, 10, m))
-    elif device.pf_layout == "per_block_op":
+    elif device.kind == "fpga_pipelined":
         pf = Parameter(rng.uniform(0, 10, (n, m)))
-    params = [theta] + phi.parameters() + ([pf] if pf is not None else [])
+    params = [theta, phi] + ([pf] if pf is not None else [])
     return theta, phi, pf, params, float(rng.uniform(0.1, 5.0))
 
 
@@ -692,18 +692,17 @@ class TestVertexAgreement:
                 for _ in range(1 if device.shared_precision else n)]
         bits = bits * (n // len(bits))
         pfs = None
-        if device.pf_layout is not None:
+        if device.kind != "gpu_table":
             top = int(device.pf_max)
             per_op = [draw(st.integers(0, top)) for _ in range(m)]
             pfs = ([per_op[o] for o in ops] if kind == "fpga_recursive"
                    else [draw(st.integers(0, top)) for _ in range(n)])
 
         theta = Parameter(np.where(np.eye(m)[ops] > 0, 30.0, -30.0))
-        phi = PhiArray(n, m, len(levels), device.shared_precision)
         sat = np.where(np.eye(len(levels))[[levels.index(b) for b in bits]] > 0,
                        30.0, -30.0)
-        phi.parameters()[0].assign(sat[0] if device.shared_precision
-                                   else np.repeat(sat[:, None], m, axis=1))
+        phi = Parameter(sat[0] if device.shared_precision
+                        else np.repeat(sat[:, None], m, axis=1))
         layout = cm.layout_pfs(ops, pfs)
         out = cm.assemble(theta, phi, None if layout is None
                           else Parameter(layout), tau=1.0)

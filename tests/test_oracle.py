@@ -10,7 +10,7 @@ from cosearch.costmodel import (CostHyperparams, CostModel, DeviceModel,
                                 reference_gpu_table)
 from cosearch import search
 from cosearch.search import DerivedDesign, SearchConfig
-from cosearch.supernet import PhiArray, QuantLevels, SearchSpace
+from cosearch.supernet import QuantLevels, SearchSpace
 from cosearch.tensorcore import Parameter, Tensor
 
 
@@ -89,12 +89,11 @@ class TestVertexConsistency:
             theta = Parameter(np.array(
                 [[30.0 if m == cfg.op_indices[i] else -30.0 for m in range(3)]
                  for i in range(2)]))
-            phi = PhiArray(2, 3, 2)
             sat = np.full((2, 3, 2), -30.0)
             for i in range(2):
                 qi = bits.index(cfg.bit_widths[i])
                 sat[i, :, qi] = 30.0
-            phi.parameters()[0].assign(sat)
+            phi = Parameter(sat)
             pf = Parameter(pf_vals)
             out = cm.assemble(theta, phi, pf, tau=1.0)
             relaxed_L = cm.total_loss(Tensor(1.0), out.perf_loss,
@@ -114,10 +113,9 @@ class TestVertexConsistency:
         cm = CostModel(space, device, hyper)
         perf_norm = cm.initial_perf_norm()
         theta = Parameter(np.array([[30.0, -30.0]]))
-        phi = PhiArray(1, 2, 2)
         sat = np.full((1, 2, 2), -30.0)
         sat[0, :, 0] = 30.0
-        phi.parameters()[0].assign(sat)
+        phi = Parameter(sat)
         pf = Parameter(np.array([2.0, 2.0]))
         out = cm.assemble(theta, phi, pf, tau=1.0)
         relaxed = cm.total_loss(Tensor(1.2), out.perf_loss, out.resource).item()

@@ -449,7 +449,7 @@ class TestDerive:
         config = small_config()
         state = initialize(config)
         state.supernet.theta.assign(np.array([[5.0, -5.0], [-5.0, 5.0]]))
-        phi = state.supernet.phi.parameters()[0]
+        phi = state.supernet.phi
         sat = np.zeros_like(phi.values)
         sat[:, :, 1] = 4.0
         phi.assign(sat)
@@ -475,7 +475,7 @@ class TestDerive:
         config = small_config()
         state = initialize(config)
         state.supernet.theta.assign(np.array([[5.0, -5.0], [5.0, -5.0]]))
-        phi = state.supernet.phi.parameters()[0]
+        phi = state.supernet.phi
         sat = np.zeros_like(phi.values)
         sat[:, :, 1] = 4.0  # 8-bit everywhere
         phi.assign(sat)

@@ -145,7 +145,7 @@ class TestForwardTrain:
             loss = net.forward_train(x, y, tau=1.0, rng=rng)
             tape.backward(loss)
         assert np.any(net.theta.grad != 0)
-        assert any(np.any(p.grad != 0) for p in net.phi.parameters())
+        assert np.any(net.phi.grad != 0)
 
     def test_single_quant_path_zero_phi_grad(self):
         space = small_space(quant=QuantLevels((8,)))
@@ -157,8 +157,7 @@ class TestForwardTrain:
         with Tape() as tape:
             loss = net.forward_train(x, y, tau=1.0, rng=rng)
             tape.backward(loss)
-        for p in net.phi.parameters():
-            assert np.all(p.grad == 0)
+        assert np.all(net.phi.grad == 0)
 
     def test_same_seed_same_loss(self):
         space = small_space()
@@ -191,12 +190,38 @@ class TestSharedPrecision:
         with Tape() as tape:
             loss = net.forward_train(x, y, 1.0, rng)
             tape.backward(loss)
-        vals = net.phi.values
-        for i in range(space.num_blocks):
-            for m in range(space.num_ops):
-                assert np.array_equal(vals[i, m], vals[0, 0])
-        (param,) = net.phi.parameters()
-        assert param.values.shape == (2,)
+        # one Q-vector of logits, so no (block, op) copy can drift apart
+        assert net.phi.values.shape == (len(space.quant),) == (2,)
+        assert net.phi.grad.shape == (2,) and np.any(net.phi.grad != 0)
+        assert net.arch_parameters() == [net.theta, net.phi]
+
+    def test_shared_phi_gets_gradient_from_every_block(self, monkeypatch):
+        # every block reads its bit-width scalar from the one shared sample,
+        # and each of those reads passes a gradient back towards phi
+        space = small_space(num_blocks=3, channel_plan=(8, 8, 8))
+        net = Supernet(space, seed=1, shared_precision=True)
+        x, y = batch(space)
+        reads = []  # (input, input gradient) of every take node run backward
+        record = Tape.record
+
+        def spy(tape, out, inputs, grad_fn):
+            def traced(g):
+                grads = grad_fn(g)
+                reads.append((inputs[0], grads[0]))
+                return grads
+            is_take = grad_fn.__qualname__.startswith("take.")
+            record(tape, out, inputs, traced if is_take else grad_fn)
+        monkeypatch.setattr(Tape, "record", spy)
+        with Tape() as tape:
+            tape.backward(net.forward_train(x, y, 1.0,
+                                            np.random.default_rng(0)))
+        # theta is read once per block too; the one other such input is
+        # the shared bit-width sample
+        shared = [g for inp, g in reads if inp is not net.theta
+                  and sum(other is inp for other, _ in reads) == 3]
+        assert len(shared) == 3
+        assert all(np.any(g != 0) for g in shared)
+        assert np.any(net.phi.grad != 0)
 
 
 class TestForwardInfer:
@@ -209,7 +234,7 @@ class TestForwardInfer:
         space = small_space()
         net = Supernet(space, seed=2)
         net.theta.assign(np.array([[50.0, -50.0], [-50.0, 50.0]]))
-        phi = net.phi.parameters()[0]
+        phi = net.phi
         sat = np.zeros_like(phi.values)
         sat[:, :, 0] = 50.0
         sat[:, :, 1] = -50.0

@@ -90,6 +90,15 @@ class TestBackward:
         assert y.grad.tolist() == [4.0, 10.0]
         assert not np.shares_memory(x.grad, y.grad)
 
+    def test_conv_input_gradient_only_through_1x1(self):
+        x = Parameter(np.ones((1, 2, 4, 4)))
+        w3 = Tensor(np.ones((3, 2, 3, 3)))
+        with pytest.raises(ShapeError, match="no input gradient through a 3x3"):
+            tc.conv2d(x, w3)
+        # a constant input through 3x3, and a grad-requiring one through 1x1
+        assert tc.conv2d(Tensor(x.values), w3).shape == (1, 3, 4, 4)
+        assert tc.conv2d(x, Tensor(np.ones((3, 2, 1, 1)))).shape == (1, 3, 4, 4)
+
     def test_non_scalar_loss_rejected(self):
         x = Parameter([1.0, 2.0])
         with Tape() as tape:
@@ -252,8 +261,8 @@ class TestFiniteDiff:
 
     # primitive, input shapes, the input slots held constant
     CONSTANT_INPUT = {
-        "conv_const_x": (lambda x, w: tc.conv2d(x, w, stride=2),
-                         ((2, 3, 5, 5), (4, 3, 3, 3)), (0,)),
+        "conv_const_x": (tc.conv2d, ((2, 3, 5, 5), (4, 3, 3, 3)), (0,)),
+        "conv1x1_const_x": (tc.conv2d, ((2, 3, 5, 5), (4, 3, 1, 1)), (0,)),
         "dwconv_const_w": (tc.depthwise_conv2d, ((2, 3, 5, 5), (3, 3, 3)),
                            (1,)),
         "affine_const_gb": (tc.channel_affine, ((2, 3, 4, 4), (3,), (3,)),
@@ -293,7 +302,15 @@ class TestFiniteDiff:
                 return grad_fn(np.random.default_rng(seed).normal(
                     size=out.values.shape))
 
-            full, kept = closure_grads(()), closure_grads(constant)
+            if name == "conv_const_x":
+                # a k>1 conv refuses a grad-requiring input, so its closure
+                # has nothing to compare against but its own rerun
+                with pytest.raises(ShapeError, match="no input gradient"):
+                    closure_grads(())
+                full = closure_grads(constant)
+            else:
+                full = closure_grads(())
+            kept = closure_grads(constant)
             for i, (g_kept, g_full) in enumerate(zip(kept, full)):
                 if i in constant:
                     assert g_kept is None
@@ -350,12 +367,12 @@ class TestFiniteDiff:
             w = Parameter(rng.normal(size=(3, 4)))
             m2 = Tensor(rng.normal(size=(2, 4)))
             return finite_diff_check(lambda: (tc.matmul(a, w) * m2).sum(), [a, w])
-        if name == "conv":
+        if name == "conv":  # x and w gradients; x only through a 1x1 kernel
             x = Parameter(rng.normal(size=(2, 3, 5, 5)))
-            w = Parameter(rng.normal(size=(4, 3, 3, 3)))
-            m2 = Tensor(rng.normal(size=(2, 4, 3, 3)))
+            w = Parameter(rng.normal(size=(4, 3, 1, 1)))
+            m2 = Tensor(rng.normal(size=(2, 4, 5, 5)))
             return finite_diff_check(
-                lambda: (tc.conv2d(x, w, stride=2) * m2).sum(), [x, w])
+                lambda: (tc.conv2d(x, w) * m2).sum(), [x, w])
         if name == "dwconv":
             x = Parameter(rng.normal(size=(2, 3, 5, 5)))
             w = Parameter(rng.normal(size=(3, 3, 3)))
