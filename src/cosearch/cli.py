@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import resource
 import sys
 
 import numpy as np
@@ -464,8 +466,11 @@ def cmd_search(args) -> int:
         if "csv" in doc["output"]["formats"]:
             with open(f"{stem}_curves.csv", "w") as fh:
                 fh.write(curves_csv(report))
+        usage = resource.getrusage(resource.RUSAGE_SELF)  # process-wide so far
         with open(f"{stem}_report.meta.txt", "w") as fh:
-            fh.write(f"wall_clock_seconds={report.wall_clock_seconds:.3f}\n")
+            fh.write(f"wall_clock_seconds={report.wall_clock_seconds:.3f}\n"
+                     f"peak_rss_mb={usage.ru_maxrss / 1024:.2f}\n"
+                     f"minor_faults={usage.ru_minflt}\n")
         if report.aborted is not None:
             print(f"seed {config.seed}: numerical abort at epoch "
                   f"{report.aborted['epoch']}: {report.aborted['reason']}")
@@ -633,7 +638,20 @@ def build_parser():
     return parser
 
 
+def _join_seed_values(argv):
+    """`--seeds -2..1` as `--seeds=-2..1`: argparse takes a value that starts
+    with '-' and a digit for an option, so the seed check never saw it."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--seed", "--seeds") and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _join_seed_values(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import data as datamod
 from .costmodel import CostHyperparams, CostModel, DeviceModel
-from .search import (DerivedDesign, SearchConfig, config_hash, map_workers,
-                     retune_parallel_factors, train_path)
+from .search import (DerivedDesign, SearchConfig, config_hash, heldout,
+                     map_workers, retune_parallel_factors, train_path)
 from .supernet import SearchSpace, Supernet
 from .tensorcore import NonFiniteError
 
@@ -79,6 +79,8 @@ class OracleProtocol:
             value = getattr(self, name)
             if not value > 0:
                 raise OracleError(f"{name} must be > 0, got {value}")
+        if not 0 <= self.momentum < 1:
+            raise OracleError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 def enumerate_configs(space: SearchSpace, device: DeviceModel,
@@ -186,7 +188,7 @@ def _train_acc_loss(config: SearchConfig, protocol: OracleProtocol,
         np.random.SeedSequence([protocol.seed, 0x0a11]))
     train_path(net, design, train, protocol.train_steps, protocol.batch_size,
                protocol.lr, protocol.momentum, rng)
-    return float(net.infer_loss(design, val.images, val.labels).item())
+    return heldout(net, design, val, protocol.batch_size)[1]
 
 
 def evaluate_config_exact(config: SearchConfig, protocol: OracleProtocol,

@@ -164,6 +164,9 @@ class SearchConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise SearchError(f"{name} must be > 0, got {value}")
+        if not 0 <= self.momentum < 1:
+            # outside [0, 1) the weights diverge to huge finite values
+            raise SearchError(f"momentum must be in [0, 1), got {self.momentum}")
         if not (self.tau_start >= self.tau_end > 0):
             raise SearchError(
                 f"need tau_start >= tau_end > 0, got {self.tau_start}, {self.tau_end}")
@@ -536,22 +539,34 @@ def retrain_design(design: DerivedDesign, config: SearchConfig, dataset=None,
     steps = epochs * math.ceil(len(train) / config.batch_size)
     train_path(net, design, train, steps, config.batch_size, config.lr_weights,
                config.momentum, rng)
+    val_accuracy, val_loss = heldout(net, design, val, config.batch_size)
+    test_accuracy, _ = heldout(net, design, test, config.batch_size)
     metrics = {
-        "val_accuracy": eval_accuracy(net, design, val),
-        "test_accuracy": eval_accuracy(net, design, test),
-        "val_loss": float(net.infer_loss(design, val.images, val.labels).item()),
+        "val_accuracy": val_accuracy,
+        "test_accuracy": test_accuracy,
+        "val_loss": val_loss,
     }
     return net, metrics
 
 
-def eval_accuracy(net: Supernet, design, dataset, batch_size=256) -> float:
+def heldout(net: Supernet, design, dataset, batch_size):
+    """(accuracy, mean cross-entropy) of the fixed path `design` on
+    `dataset`, forwarded in chunks of the run's training `batch_size`, so
+    memory stays at one batch's.  Both are bitwise the whole set's in one
+    forward: rows do not mix, and no chunk has one row unless the set does
+    (a one-row head matmul takes another BLAS path, with other bits)."""
+    n = len(dataset)
+    starts = list(range(0, n, max(batch_size, 2)))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()  # the one-row tail joins the chunk before it
     hits = 0
-    for start in range(0, len(dataset), batch_size):
-        images = dataset.images[start:start + batch_size]
-        labels = dataset.labels[start:start + batch_size]
-        logits = net.forward_infer(design, images)
+    losses = []
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        labels = dataset.labels[lo:hi]
+        logits = net.forward_infer(design, dataset.images[lo:hi])
         hits += int((np.argmax(logits.values, axis=1) == labels).sum())
-    return hits / len(dataset)
+        losses.append(tc.cross_entropy_rows(logits, labels).values)
+    return hits / n, float(np.concatenate(losses).mean())
 
 
 # -- config serialization (echoed into every report) ---------------------------------

@@ -3,12 +3,15 @@
 Everything downstream (the searchable network and the device cost models)
 runs on the primitives in this module.  Values are float64 numpy arrays;
 records go onto the innermost active :class:`Tape`, which replays them in
-reverse for gradients.  No graph is kept beyond the tape, so a fresh tape
-per training step keeps memory flat.
+reverse for gradients.  The tape keeps node serials, not tensors: an
+activation outlives the forward only where a gradient closure captured
+what that gradient reads, so a fresh tape per training step holds one
+batch's gradient inputs and no more.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 
@@ -39,6 +42,7 @@ class _ThreadTapes(threading.local):
 
 
 _tapes = _ThreadTapes()
+_serials = itertools.count()  # Tensor.node; next() is atomic under the GIL
 
 
 def active_tape():
@@ -57,6 +61,15 @@ class Tape:
     node is checked for finiteness anyway, and that NonFiniteError names
     the op.
 
+    An entry holds the output's node serial, the input serials (None for
+    an input that needs no gradient) and the gradient closure; parameters
+    are held apart for the final `.grad +=`.  So the tape pins no tensor:
+    an activation lives on only in a closure whose gradient reads it.
+    Entries live as long as the tape.  Dropping each as backward passed it
+    freed the heap top mid-phase, which glibc returned to the system and
+    faulted in again the next step (a benchmark desk search on a 2-core
+    x86 box: 1.7M minor faults instead of 0.18M).
+
     backward stores gradient arrays without copying them. That is safe
     because no gradient closure writes to its incoming gradient or to an
     array it has returned, and gradients are accumulated out of place; so
@@ -65,6 +78,7 @@ class Tape:
 
     def __init__(self, frozen=()):
         self._entries = []
+        self._params = {}  # node -> Parameter input needing a gradient
         self._frozen = [p for p in frozen if p.requires_grad]
         self._errstate = np.errstate(over="ignore", invalid="ignore")
 
@@ -89,29 +103,36 @@ class Tape:
     def record(self, out, inputs, grad_fn):
         # grad_fn(g_out) -> tuple of gradient arrays aligned with `inputs`
         # (None for inputs that need no gradient).
-        self._entries.append((out, inputs, grad_fn))
+        keys = []
+        for t in inputs:
+            if t.requires_grad:
+                keys.append(t.node)
+                if isinstance(t, Parameter):
+                    self._params[t.node] = t
+            else:
+                keys.append(None)
+        self._entries.append((out.node, keys, grad_fn))
 
     def backward(self, loss):
         """Accumulate d(loss)/d(leaf) into .grad of every requires_grad leaf."""
         if loss.values.shape != ():
             raise ShapeError(
                 f"backward needs a scalar loss, got shape {loss.values.shape}")
-        grads = {id(loss): np.ones((), dtype=np.float64)}
-        for out, inputs, grad_fn in reversed(self._entries):
-            g_out = grads.pop(id(out), None)
+        grads = {loss.node: np.ones((), dtype=np.float64)}
+        for out, keys, grad_fn in reversed(self._entries):
+            g_out = grads.pop(out, None)
             if g_out is None:
                 continue
-            for inp, g in zip(inputs, grad_fn(g_out)):
-                if g is None or not inp.requires_grad:
+            for key, g in zip(keys, grad_fn(g_out)):
+                if g is None or key is None:
                     continue
-                key = id(inp)
                 grads[key] = grads[key] + g if key in grads else g
-            del g_out
-        for _, inputs, _ in self._entries:
-            for inp in inputs:
-                g = grads.pop(id(inp), None)
-                if g is not None and isinstance(inp, Parameter):
-                    inp.grad += g
+        # each parameter's total lands once, in its own slice of memory, so
+        # the order of the += changes no bits
+        for key, param in self._params.items():
+            g = grads.get(key)
+            if g is not None:
+                param.grad += g
 
 
 def _check_finite(arr, op):
@@ -123,10 +144,11 @@ class Tensor:
     """Immutable-by-convention dense array node.
 
     Non-finite values are rejected at creation so a diverging run fails at
-    the op that produced the NaN/Inf instead of ten steps later.
+    the op that produced the NaN/Inf instead of ten steps later.  `node` is
+    a process-wide serial that names the tensor on a tape.
     """
 
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values", "requires_grad", "grad", "node")
 
     def __init__(self, values, requires_grad=False, _op="tensor"):
         arr = np.asarray(values, dtype=np.float64)
@@ -134,6 +156,7 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.node = next(_serials)
 
     @property
     def shape(self):
@@ -227,7 +250,11 @@ def _wrap(x):
 
 def _make(values, inputs, grad_fn, op):
     """Build the output node and record it if a tape is live and needed."""
-    req = any(t.requires_grad for t in inputs)
+    req = False
+    for t in inputs:  # a loop: any() over a generator costs more per op
+        if t.requires_grad:
+            req = True
+            break
     out = Tensor(values, requires_grad=req, _op=op)
     tape = active_tape()
     if tape is not None and req:
@@ -247,33 +274,46 @@ def _unbroadcast(g, shape):
 
 # -- elementwise arithmetic --------------------------------------------------
 
+# Each gradient closure captures only the arrays and shapes its gradient
+# reads, never the input tensors: what it does not capture is freed once
+# the forward no longer uses it.
+
 def add(a, b):
+    a_shape, b_shape = a.values.shape, b.values.shape
+
     def grad_fn(g):
-        return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
     return _make(a.values + b.values, (a, b), grad_fn, "add")
 
 
 def sub(a, b):
+    a_shape, b_shape = a.values.shape, b.values.shape
+
     def grad_fn(g):
-        return _unbroadcast(g, a.values.shape), -_unbroadcast(g, b.values.shape)
+        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
     return _make(a.values - b.values, (a, b), grad_fn, "sub")
 
 
 def mul(a, b):
-    need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = a.values.shape, b.values.shape
+    # each operand is kept only for the other's gradient
+    a_vals = a.values if b.requires_grad else None
+    b_vals = b.values if a.requires_grad else None
 
     def grad_fn(g):
-        return (_unbroadcast(g * b.values, a.values.shape) if need_a else None,
-                _unbroadcast(g * a.values, b.values.shape) if need_b else None)
+        return (None if b_vals is None else _unbroadcast(g * b_vals, a_shape),
+                None if a_vals is None else _unbroadcast(g * a_vals, b_shape))
     return _make(a.values * b.values, (a, b), grad_fn, "mul")
 
 
 def div(a, b):
+    a_vals, b_vals = a.values, b.values
+
     def grad_fn(g):
-        return (_unbroadcast(g / b.values, a.values.shape),
-                _unbroadcast(-g * a.values / (b.values ** 2), b.values.shape))
+        return (_unbroadcast(g / b_vals, a_vals.shape),
+                _unbroadcast(-g * a_vals / (b_vals ** 2), b_vals.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = a.values / b.values
+        vals = a_vals / b_vals
     return _make(vals, (a, b), grad_fn, "div")
 
 
@@ -286,10 +326,15 @@ def exp(a):
 
 
 def relu(a):
-    def grad_fn(g):
-        return (g * (a.values > 0),)
     # maximum(-0.0, 0.0) is +0.0, as where(a > 0, a, 0.0) gives
-    return _make(np.maximum(a.values, 0.0), (a,), grad_fn, "relu")
+    out_vals = np.maximum(a.values, 0.0)
+    # out > 0 exactly where a > 0: a bool mask of the output, so the input
+    # is not kept
+    mask = out_vals > 0 if a.requires_grad else None
+
+    def grad_fn(g):
+        return (g * mask,)
+    return _make(out_vals, (a,), grad_fn, "relu")
 
 
 def pow2(a):
@@ -307,8 +352,10 @@ def pow2(a):
 # -- shape / reduction -------------------------------------------------------
 
 def take(a, idx):
+    shape = a.values.shape
+
     def grad_fn(g):
-        full = np.zeros_like(a.values)
+        full = np.zeros(shape)
         np.add.at(full, idx, g)
         return (full,)
     return _make(a.values[idx], (a,), grad_fn, "take")
@@ -316,10 +363,12 @@ def take(a, idx):
 
 def total_sum(a, axis=None):
     """Sum of all entries, or over one axis or a tuple of axes."""
+    shape = a.values.shape
+
     def grad_fn(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.values.shape),)
+        return (np.broadcast_to(g, shape),)
     return _make(a.values.sum(axis=axis), (a,), grad_fn, "sum")
 
 
@@ -327,13 +376,15 @@ def prod(a, axis):
     """Product over one axis.  Each entry's gradient is the product of
     the others, from exclusive prefix and suffix products (no division), so
     it stays exact where entries are 0."""
+    a_vals = a.values
+
     def grad_fn(g):
-        x = np.moveaxis(a.values, axis, 0)
+        x = np.moveaxis(a_vals, axis, 0)
         before, after = np.ones_like(x), np.ones_like(x)
         np.cumprod(x[:-1], axis=0, out=before[1:])
         after[:-1] = np.cumprod(x[:0:-1], axis=0)[::-1]
         return (np.expand_dims(g, axis) * np.moveaxis(before * after, 0, axis),)
-    return _make(a.values.prod(axis=axis), (a,), grad_fn, "prod")
+    return _make(a_vals.prod(axis=axis), (a,), grad_fn, "prod")
 
 
 def matmul(a, b):
@@ -344,9 +395,11 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul: inner dims differ, {a.values.shape} @ {b.values.shape}")
 
+    a_vals, b_vals = a.values, b.values
+
     def grad_fn(g):
-        return g @ b.values.T, a.values.T @ g
-    return _make(a.values @ b.values, (a, b), grad_fn, "matmul")
+        return g @ b_vals.T, a_vals.T @ g
+    return _make(a_vals @ b_vals, (a, b), grad_fn, "matmul")
 
 
 # -- neural-net primitives ---------------------------------------------------
@@ -388,18 +441,20 @@ def conv2d(x, weight):
     cols_mat = cols.reshape(b, ci * k * k, h * w)
     w_mat = weight.values.reshape(co, ci * k * k)
     out = (w_mat @ cols_mat).reshape(b, co, h, w)
-    need_x, need_w = x.requires_grad, weight.requires_grad
+    need_x = x.requires_grad
+    x_shape, w_shape = x.values.shape, weight.values.shape
+    kept_cols = cols_mat if weight.requires_grad else None  # only dw reads it
 
     def grad_fn(g):
         g_mat = g.reshape(b, co, h * w)
         dx = dw = None
-        if need_w:
+        if kept_cols is not None:
             # fold the batch into the contraction: one GEMM
             g2 = g_mat.transpose(1, 0, 2).reshape(co, b * h * w)
-            c2 = cols_mat.transpose(1, 0, 2).reshape(ci * k * k, b * h * w)
-            dw = (g2 @ c2.T).reshape(weight.values.shape)
+            c2 = kept_cols.transpose(1, 0, 2).reshape(ci * k * k, b * h * w)
+            dw = (g2 @ c2.T).reshape(w_shape)
         if need_x:
-            dx = np.matmul(w_mat.T[None], g_mat).reshape(x.values.shape)
+            dx = np.matmul(w_mat.T[None], g_mat).reshape(x_shape)
         return dx, dw
     return _make(out, (x, weight), grad_fn, "conv2d")
 
@@ -438,18 +493,23 @@ def depthwise_conv2d(x, weight, stride=1):
         for _, _, w_tap, rows, cols in taps:
             o += np.multiply(w_tap, xp[lo:lo + step, :, rows, cols], out=buf)
 
-    need_x, need_w = x.requires_grad, weight.requires_grad
+    need_x = x.requires_grad
+    w_shape, xp_shape = weight.values.shape, xp.shape
+    kept_xp = xp if weight.requires_grad else None  # only dw reads it
 
     def grad_fn(g):
         dx = dw = None
-        if need_w:
+        if kept_xp is not None:
             # Full batch, not sliced: numpy's sum over axes (0, 2, 3) adds in
             # an order that summing per slice does not reproduce bit for bit.
-            dw = np.empty_like(weight.values)
+            # Each tap's product goes into one reused buffer.
+            dw = np.empty(w_shape)
+            buf = np.empty(g.shape)
             for di, dj, _, rows, cols in taps:
-                dw[:, di, dj] = (xp[:, :, rows, cols] * g).sum(axis=(0, 2, 3))
+                dw[:, di, dj] = np.multiply(kept_xp[:, :, rows, cols], g,
+                                            out=buf).sum(axis=(0, 2, 3))
         if need_x:
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros(xp_shape)
             for lo in range(0, b, step):
                 d, gs = dxp[lo:lo + step], g[lo:lo + step]
                 buf = np.empty(gs.shape)
@@ -471,12 +531,12 @@ def channel_affine(x, gamma, beta):
     out = x.values * gam
     out += beta.values.reshape(1, c, 1, 1)
 
-    need_x, need_gamma, need_beta = (x.requires_grad, gamma.requires_grad,
-                                     beta.requires_grad)
+    need_x, need_beta = x.requires_grad, beta.requires_grad
+    x_vals = x.values if gamma.requires_grad else None  # only dgamma reads it
 
     def grad_fn(g):
         return (g * gam if need_x else None,
-                (g * x.values).sum(axis=(0, 2, 3)) if need_gamma else None,
+                None if x_vals is None else (g * x_vals).sum(axis=(0, 2, 3)),
                 g.sum(axis=(0, 2, 3)) if need_beta else None)
     return _make(out, (x, gamma, beta), grad_fn, "channel_affine")
 
@@ -484,10 +544,11 @@ def channel_affine(x, gamma, beta):
 def global_avg_pool(x):
     if x.values.ndim != 4:
         raise ShapeError(f"global_avg_pool expects (B,C,H,W), got {x.values.shape}")
-    b, c, h, w = x.values.shape
+    shape = x.values.shape
+    h, w = shape[2:]
 
     def grad_fn(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.values.shape),)
+        return (np.broadcast_to(g[:, :, None, None] / (h * w), shape),)
     return _make(x.values.mean(axis=(2, 3)), (x,), grad_fn, "global_avg_pool")
 
 
@@ -503,24 +564,39 @@ def softmax(a):
     return _make(s, (a,), grad_fn, "softmax")
 
 
-def softmax_cross_entropy(logits, labels):
-    """Mean cross-entropy; logits (B,K), labels int array (B,)."""
+def _cross_entropy(logits, labels, op):
+    """Each row's cross-entropy of logits (B,K) against int labels (B,),
+    and its gradient in the logits: softmax minus one-hot.  Rows do not mix,
+    so a row comes out the same in any batch."""
     if logits.values.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy expects (B,K) logits, got "
-                         f"{logits.values.shape}")
+        raise ShapeError(f"{op} expects (B,K) logits, got {logits.values.shape}")
     labels = np.asarray(labels)
-    b, k = logits.values.shape
+    b = logits.values.shape[0]
     if labels.shape != (b,):
-        raise ShapeError(
-            f"softmax_cross_entropy: labels shape {labels.shape} != ({b},)")
+        raise ShapeError(f"{op}: labels shape {labels.shape} != ({b},)")
+    rows = np.arange(b)
     shifted = logits.values - logits.values.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
-    losses = log_z - shifted[np.arange(b), labels]
-    probs = np.exp(shifted - log_z[:, None])
+    d = np.exp(shifted - log_z[:, None])
+    d[rows, labels] -= 1.0
+    return log_z - shifted[rows, labels], d
+
+
+def cross_entropy_rows(logits, labels):
+    """Per-row cross-entropy (B,); logits (B,K), labels int array (B,)."""
+    losses, d = _cross_entropy(logits, labels, "cross_entropy_rows")
 
     def grad_fn(g):
-        d = probs.copy()
-        d[np.arange(b), labels] -= 1.0
+        return (g[:, None] * d,)
+    return _make(losses, (logits,), grad_fn, "cross_entropy_rows")
+
+
+def softmax_cross_entropy(logits, labels):
+    """Mean cross-entropy; logits (B,K), labels int array (B,)."""
+    losses, d = _cross_entropy(logits, labels, "softmax_cross_entropy")
+    b = losses.shape[0]
+
+    def grad_fn(g):
         return (g * d / b,)
     return _make(losses.mean(), (logits,), grad_fn, "softmax_cross_entropy")
 

@@ -10,7 +10,9 @@
   calibration baselines;
 - `initial_parallel_factors`, the starting parallel factors written out
   per device kind, as the search worked them out before `CostModel`
-  owned them.
+  owned them;
+- `ReferenceTape`, the tape as it was before it kept node serials: the
+  bitwise reference for `Tape.backward`.
 """
 
 import math
@@ -175,3 +177,33 @@ def initial_parallel_factors(device, space):
             f"resource bound {device.res_ub} <= {m * n} per-block IPs: initial "
             f"parallel factor would not be positive")
     return np.full((n, m), math.log2(device.res_ub / (m * n)))
+
+
+class ReferenceTape(tc.Tape):
+    """A tape whose entries hold the tensors themselves, keyed by id(), so
+    every recorded tensor lives as long as the tape; entries stay after
+    backward.  Records the primitives' own gradient closures."""
+
+    def record(self, out, inputs, grad_fn):
+        self._entries.append((out, inputs, grad_fn))
+
+    def backward(self, loss):
+        if loss.values.shape != ():
+            raise tc.ShapeError(
+                f"backward needs a scalar loss, got shape {loss.values.shape}")
+        grads = {id(loss): np.ones((), dtype=np.float64)}
+        for out, inputs, grad_fn in reversed(self._entries):
+            g_out = grads.pop(id(out), None)
+            if g_out is None:
+                continue
+            for inp, g in zip(inputs, grad_fn(g_out)):
+                if g is None or not inp.requires_grad:
+                    continue
+                key = id(inp)
+                grads[key] = grads[key] + g if key in grads else g
+            del g_out
+        for _, inputs, _ in self._entries:
+            for inp in inputs:
+                g = grads.pop(id(inp), None)
+                if g is not None and isinstance(inp, tc.Parameter):
+                    inp.grad += g

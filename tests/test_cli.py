@@ -133,6 +133,11 @@ class TestSearchCommand:
         assert len(report["epochs"]) == 2
         design = json.loads((out / "seed1_design.json").read_text())
         assert len(design["blocks"]) == 2
+        meta = dict(line.split("=") for line in
+                    (out / "seed1_report.meta.txt").read_text().splitlines())
+        assert list(meta) == ["wall_clock_seconds", "peak_rss_mb",
+                              "minor_faults"]
+        assert float(meta["peak_rss_mb"]) > 0 and int(meta["minor_faults"]) > 0
         for block in design["blocks"]:
             assert {"kernel_size", "expansion_ratio", "bit_width", "stride",
                     "in_channels", "out_channels"} <= set(block)
@@ -289,6 +294,9 @@ class TestRefusedInput:
     CASES = [
         ("search", ["--seed", "-1"], {}),
         ("search", ["--seeds=-2..1"], {}),
+        ("search", ["--seeds", "-2..1"], {}),
+        ("search", [], {"search.momentum": 1.5}),
+        ("search", [], {"search.momentum": -2.0}),
         ("search", [], {"search.seed": -3}),
         ("search", [], {"data.seed": -2}),
         ("enumerate", ["--protocol-seed", "-1"], {}),
@@ -327,6 +335,21 @@ class TestRefusedInput:
         assert err.startswith(("config error: ", "error: ")), err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, edits, message", [
+        (["--seeds", "-2..1"], {}, "seed must be >= 0, got -2"),
+        (["--seed", "-2"], {}, "seed must be >= 0, got -2"),
+        ([], {"search.momentum": 1.5}, "momentum must be in [0, 1), got 1.5"),
+    ])
+    def test_names_the_problem(self, tmp_path, capsys, flags, edits, message):
+        doc = yaml.safe_load(SMALL_YAML.format(out=tmp_path / "o"))
+        for path, value in edits.items():
+            section, key = path.split(".")
+            doc[section][key] = value
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert cli.main(["search", "-c", str(cfg), *flags]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestGpuFlow:

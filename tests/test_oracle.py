@@ -1,4 +1,4 @@
-
+import math
 from unittest import mock
 
 import numpy as np
@@ -153,7 +153,8 @@ class TestProtocol:
     @pytest.mark.parametrize("field, value", [
         ("train_steps", 0), ("batch_size", 0), ("workers", 0),
         ("workers", -2), ("lr", 0.0), ("lr", -0.05), ("retune_lr", -0.03),
-        ("retune_lr", 0.0),
+        ("retune_lr", 0.0), ("momentum", 1.0), ("momentum", 1.5),
+        ("momentum", -0.1), ("momentum", math.nan),
     ])
     def test_counts_validated(self, field, value):
         with pytest.raises(om.OracleError, match=field):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -20,10 +21,10 @@ from cosearch.search import (DerivedDesign, InfeasibleError, SearchAbort,
                              config_hash, derive_architecture, initialize,
                              predict_discrete, retune_parallel_factors,
                              run_search)
-from cosearch.supernet import QuantLevels, SearchSpace, SpaceError
+from cosearch.supernet import QuantLevels, SearchSpace, SpaceError, Supernet
 from cosearch.tensorcore import NonFiniteError, Parameter, Tape, Tensor
 
-from reference_ops import stack
+from reference_ops import ReferenceTape, stack
 
 
 def small_space(**kw):
@@ -97,7 +98,8 @@ class TestInitialization:
     @pytest.mark.parametrize("field, value", [
         ("steps_per_epoch", 0), ("batch_size", 0), ("batch_size", -8),
         ("retrain_epochs", 0), ("retune_steps", -1), ("retune_lr", 0.0),
-        ("retune_lr", -0.03), ("retune_lr", math.nan),
+        ("retune_lr", -0.03), ("retune_lr", math.nan), ("momentum", 1.0),
+        ("momentum", 1.5), ("momentum", -2.0), ("momentum", math.nan),
     ])
     def test_run_counts_validated(self, field, value):
         with pytest.raises(SearchError, match=field):
@@ -864,6 +866,88 @@ class TestPhaseFreezing:
                     assert not np.any(g_kept)
         assert kept_early == {"weight": full_early["weight"], "arch": 0}
         assert full_early["arch"] > 0
+
+    @settings(max_examples=10, deadline=None)
+    @given(phase_cases())
+    def test_step_bitwise_equals_the_reference_tape(self, case):
+        config, batches = case
+
+        def step():
+            state = initialize(config)
+            bilevel_step(state, *batches, tau=1.0)
+            net = state.supernet
+            params = net.weight_parameters() + net.arch_parameters()
+            if state.pf is not None:
+                params.append(state.pf)
+            return [p.values.tobytes() for p in params]
+
+        with mock.patch.object(search, "Tape", ReferenceTape):
+            want = step()
+        assert step() == want
+
+
+HELDOUT_DESIGN = DerivedDesign("fpga_recursive", [1, 0], [4, 8], None, False)
+
+
+class TestHeldout:
+    @pytest.mark.parametrize("b", [1, 2, 24, 32])
+    def test_bitwise_the_whole_set_in_one_forward(self, b):
+        net = Supernet(small_space(), seed=5)
+        data = datamod.generate_dataset(small_data())  # 96 rows
+        for n in sorted({1, 2, b - 1, b, b + 1, 2 * b + 1} - {0}):
+            images, labels = data.images[:n], data.labels[:n]
+            acc, loss = search.heldout(net, HELDOUT_DESIGN,
+                                       datamod.Dataset(images, labels), b)
+            whole = net.infer_loss(HELDOUT_DESIGN, images, labels).item()
+            assert loss.hex() == whole.hex(), (n, b)
+            logits = net.forward_infer(HELDOUT_DESIGN, images).values
+            assert acc == (np.argmax(logits, axis=1) == labels).sum() / n
+
+
+def traced_bytes(fn):
+    """(fn(), memory held when it returns, peak while it ran), in bytes
+    above what was allocated before, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, current - base, peak - base
+
+
+class TestMemoryGuard:
+    def test_heldout_peaks_at_one_batch(self):
+        net = Supernet(small_space(), seed=5)
+        data = datamod.generate_dataset(small_data(samples_per_class=40))
+        b = len(data) // 10
+        one = datamod.Dataset(data.images[:b], data.labels[:b])
+        _, _, one_peak = traced_bytes(
+            lambda: search.heldout(net, HELDOUT_DESIGN, one, b))
+        _, _, ten_peak = traced_bytes(
+            lambda: search.heldout(net, HELDOUT_DESIGN, data, b))
+        assert ten_peak <= 2 * one_peak
+
+    def test_arch_phase_tape_holds_half_the_weight_phase(self):
+        # no downsampling, so most activations are past block 0, where the
+        # architecture phase records too
+        space = small_space(num_blocks=3, channel_plan=(8, 8, 8),
+                            downsample_blocks=())
+        net = Supernet(space, seed=1)
+        data = datamod.generate_dataset(small_data())
+        images, labels = data.images[:16], data.labels[:16]
+
+        def tape_bytes(frozen):
+            with Tape(frozen=frozen) as tape:
+                loss, held, _ = traced_bytes(lambda: net.forward_train(
+                    images, labels, 1.0, np.random.default_rng(0)))
+                tape.backward(loss)
+            return held
+
+        weight_phase = tape_bytes(net.arch_parameters())
+        arch_phase = tape_bytes(net.weight_parameters())
+        assert arch_phase <= weight_phase / 2
 
 
 def leaf_paths(obj, prefix=()):

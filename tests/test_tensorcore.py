@@ -1,15 +1,16 @@
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cosearch import tensorcore as tc
 from cosearch.tensorcore import (NonFiniteError, Parameter, ShapeError, Tape,
                                  Tensor)
 
-from reference_ops import finite_diff_check, log, stack, tanh
+from reference_ops import ReferenceTape, finite_diff_check, log, stack, tanh
 
 
 def backward(loss_fn, params):
@@ -40,6 +41,13 @@ class TestForwardValues:
     def test_xent_uniform_logits(self):
         loss = tc.softmax_cross_entropy(Tensor([[0.0, 0.0]]), [0])
         assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_xent_rows_mean_is_the_mean_loss(self):
+        rng = np.random.default_rng(0)
+        logits, labels = Tensor(rng.normal(size=(7, 4))), rng.integers(0, 4, 7)
+        rows = tc.cross_entropy_rows(logits, labels).values
+        assert rows.shape == (7,)
+        assert rows.mean() == tc.softmax_cross_entropy(logits, labels).item()
 
     def test_matmul_shape_error_names_shapes(self):
         with pytest.raises(ShapeError, match="matmul"):
@@ -272,8 +280,8 @@ class TestFiniteDiff:
 
     PRIMITIVES = ["add", "sub", "mul", "div", "exp", "log", "tanh", "relu",
                   "pow2", "matmul", "conv", "dwconv", "affine", "gap",
-                  "xent", "softmax", "lse", "take", "stack", "sum_axis",
-                  "prod"] \
+                  "xent", "xent_rows", "softmax", "lse", "take", "stack",
+                  "sum_axis", "prod"] \
         + list(CONSTANT_INPUT)
 
     @pytest.mark.parametrize("name", PRIMITIVES)
@@ -396,6 +404,12 @@ class TestFiniteDiff:
             labels = rng.integers(0, 3, 4)
             return finite_diff_check(
                 lambda: tc.softmax_cross_entropy(x, labels), [x])
+        if name == "xent_rows":
+            x = Parameter(rng.normal(size=(4, 3)))
+            labels = rng.integers(0, 3, 4)
+            m2 = Tensor(rng.normal(size=4))
+            return finite_diff_check(
+                lambda: (tc.cross_entropy_rows(x, labels) * m2).sum(), [x])
         if name == "softmax":
             v = Parameter(rng.normal(size=5))
             m2 = Tensor(rng.normal(size=5))
@@ -480,6 +494,77 @@ class TestDepthwiseReference:
                 assert got is None
             else:
                 assert np.array_equal(got, want[i + 1])
+
+
+# Ops of the random graphs below: each maps two (2, 3) tensors to one.
+GRAPH_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "square": lambda a, b: a * a,
+    "div": lambda a, b: a / tc.pow2(b),
+    "relu": lambda a, b: tc.relu(a),
+    "softmax": lambda a, b: tc.softmax(a),
+    "row": lambda a, b: a[1] + b,
+    "colsum": lambda a, b: a.sum(axis=0) * b,
+    "prod": lambda a, b: tc.prod(a, 0) - b,
+    "matmul": lambda a, b: tc.matmul(a, Tensor(np.eye(3))) * b,
+}
+
+
+@st.composite
+def small_graphs(draw):
+    """Parameters, constants, a random program of GRAPH_OPS over them, and
+    the parameters a tape freezes."""
+    n_params = draw(st.integers(1, 3))
+    program = draw(st.lists(st.tuples(st.sampled_from(sorted(GRAPH_OPS)),
+                                      st.integers(0, 20), st.integers(0, 20)),
+                            min_size=1, max_size=10))
+    frozen = draw(st.sets(st.integers(0, n_params - 1), max_size=1))
+    return n_params, program, frozen, draw(st.integers(0, 2 ** 16))
+
+
+class TestTape:
+    def test_activation_no_gradient_reads_is_freed(self):
+        rng = np.random.default_rng(0)
+        x = Parameter(rng.normal(size=(2, 3, 4, 4)))
+        gamma, beta = Parameter(np.ones(3)), Parameter(rng.normal(size=3))
+        with Tape(frozen=[gamma]) as tape:
+            h = tc.channel_affine(x, gamma, beta)  # gamma frozen: x unread
+            freed = weakref.ref(h.values)
+            loss = tc.relu(h).sum()  # relu keeps a mask, not its input
+            del h
+            assert freed() is None
+            tape.backward(loss)
+        assert np.array_equal(x.grad, (x.values + beta.values[:, None, None]
+                                       > 0).astype(float))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_gradients_bitwise_equal_the_reference_tape(self, graph):
+        n_params, program, frozen, seed = graph
+
+        def grads(tape_cls):
+            rng = np.random.default_rng(seed)
+            params = [Parameter(rng.normal(size=(2, 3)))
+                      for _ in range(n_params)]
+            pool = params + [Tensor(rng.normal(size=(2, 3)))]
+            weights = rng.normal(size=(len(program) + len(pool), 2, 3))
+            with tape_cls(frozen=[params[i] for i in frozen]) as tape:
+                for op, i, j in program:
+                    pool.append(GRAPH_OPS[op](pool[i % len(pool)],
+                                              pool[j % len(pool)]))
+                loss = Tensor(0.0)
+                for t, wt in zip(pool, weights):
+                    loss = loss + (t * Tensor(wt)).sum()
+                tape.backward(loss)
+            return [p.grad.tobytes() for p in params]
+
+        try:
+            want = grads(ReferenceTape)
+        except NonFiniteError:
+            assume(False)
+        assert grads(Tape) == want
 
 
 class TestDeterminism:
