@@ -314,9 +314,27 @@ def write_json(path, doc):
         fh.write(to_json(doc) + "\n")
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def read_json(path, parse=None):
+    """The JSON document at `path`, or `parse(document)`.  A file that
+    cannot be read or is not JSON, and a document that lacks a key or has a
+    layout `parse` does not expect, raise ConfigFileError naming the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigFileError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # invalid JSON or text encoding
+        raise ConfigFileError(f"{path}: not valid JSON: {exc}") from None
+    if parse is None:
+        return doc
+    if not isinstance(doc, dict):
+        raise ConfigFileError(f"{path}: expected a JSON object")
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise ConfigFileError(f"{path}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ConfigFileError(f"{path}: unexpected layout: {exc}") from None
 
 
 # -- documents ----------------------------------------------------------------------
@@ -512,8 +530,7 @@ def cmd_enumerate(args) -> int:
 def cmd_eval(args) -> int:
     doc = load_config_file(args.config)
     config = build_search_config(doc, device_kind=args.device)
-    ddoc = read_json(args.design)
-    design = design_from_document(ddoc)
+    design = read_json(args.design, design_from_document)
     if design.device_kind != config.device.kind:
         raise ConfigFileError(f"design is for device {design.device_kind}, "
                               f"not {config.device.kind}")
@@ -544,26 +561,39 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    rep = read_json(args.report)
-    rank = read_json(args.ranking)
-    if rep["config_hash"] != rank["config_hash"]:
-        raise ConfigFileError(
-            f"config hash mismatch: report {rep['config_hash'][:12]} vs "
-            f"ranking {rank['config_hash'][:12]}; refusing to compare")
+def _report_key(rep):
+    """(config hash, [op indices, bit widths]) of a report document; the
+    key is None for a run that wrote no design."""
     if rep.get("design") is None:
+        return rep["config_hash"], None
+    blocks = rep["design"]["blocks"]
+    return rep["config_hash"], [[b["op_index"] for b in blocks],
+                                [b["bit_width"] for b in blocks]]
+
+
+def _ranking_rows(rank):
+    """(config hash, [(design key, rank, total loss)]) of a ranking."""
+    return rank["config_hash"], [
+        ([e["op_indices"], e["bit_widths"]], e["rank"], e["total_loss"])
+        for e in rank["entries"]]
+
+
+def cmd_compare(args) -> int:
+    rep_hash, key = read_json(args.report, _report_key)
+    rank_hash, rows = read_json(args.ranking, _ranking_rows)
+    if rep_hash != rank_hash:
+        raise ConfigFileError(
+            f"config hash mismatch: report {rep_hash[:12]} vs "
+            f"ranking {rank_hash[:12]}; refusing to compare")
+    if key is None:
         raise ConfigFileError("report has no design (aborted run?)")
-    key = [[b["op_index"] for b in rep["design"]["blocks"]],
-           [b["bit_width"] for b in rep["design"]["blocks"]]]
-    position = None
-    for e in rank["entries"]:
-        if [e["op_indices"], e["bit_widths"]] == key:
-            position = e["rank"]
-            gap = e["total_loss"] - rank["entries"][0]["total_loss"]
+    for row_key, position, loss in rows:
+        if row_key == key:
+            gap = loss - rows[0][2]
             break
-    if position is None:
+    else:
         raise ConfigFileError("design not found in ranking (different space?)")
-    print(f"design rank {position} of {len(rank['entries'])}, "
+    print(f"design rank {position} of {len(rows)}, "
           f"loss gap to best {gap:.6f}")
     if args.max_rank is not None and position > args.max_rank:
         print(f"rank {position} exceeds --max-rank {args.max_rank}")

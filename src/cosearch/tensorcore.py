@@ -19,9 +19,13 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-# Bytes of one depthwise batch slice (padded input, output and product
-# buffer): small enough that a slice stays in cache across all k*k taps.
-_DW_SLICE_BYTES = 512 * 1024
+# Bytes of one depthwise channel tile over the whole batch (padded input,
+# output and product buffer): small enough that a tile stays in cache
+# across all k*k taps.
+_DW_TILE_BYTES = 1024 * 1024
+
+# Longest run that numpy's pairwise_sum adds as one leaf.
+_PW_LEAF = 128
 
 
 class TensorError(Exception):
@@ -459,8 +463,70 @@ def conv2d(x, weight):
     return _make(out, (x, weight), grad_fn, "conv2d")
 
 
+def _pairwise_half(n):
+    half = n // 2
+    return half - half % 8
+
+
+def _stage_width(n):
+    """How many values _pairwise_stage keeps of a run of n."""
+    if n > _PW_LEAF:
+        half = _pairwise_half(n)
+        return _stage_width(half) + _stage_width(n - half)
+    return n if n < 8 else 8 + n % 8
+
+
+def _pairwise_stage(a, out):
+    """First stage of numpy's pairwise sum over axis -2 of a (..., n, L):
+    per leaf, its eight accumulators and then its n % 8 tail, written into
+    out (..., _stage_width(n), L).  A run below 8 is copied as it is."""
+    n = a.shape[-2]
+    if n > _PW_LEAF:
+        half = _pairwise_half(n)
+        w = _stage_width(half)
+        _pairwise_stage(a[..., :half, :], out[..., :w, :])
+        _pairwise_stage(a[..., half:, :], out[..., w:, :])
+    elif n < 8:
+        out[...] = a
+    else:
+        m = n - n % 8
+        # accumulator j adds values j, j + 8, j + 16, ... in order
+        blocks = a[..., :m, :].reshape(a.shape[:-2] + (m // 8, 8, a.shape[-1]))
+        np.sum(blocks, axis=-3, out=out[..., :8, :])
+        out[..., 8:, :] = a[..., m:, :]
+
+
+def _pairwise_finish(s, n):
+    """Sum over axis -2 of n values staged by _pairwise_stage, in the order
+    of numpy's pairwise_sum: the eight accumulators pairwise, then the tail
+    in order; below 8 values, in order from 0.0; halves added up the
+    recursion."""
+    if n > _PW_LEAF:
+        half = _pairwise_half(n)
+        w = _stage_width(half)
+        return (_pairwise_finish(s[..., :w, :], half)
+                + _pairwise_finish(s[..., w:, :], n - half))
+    if n < 8:
+        res, tail = np.zeros(s.shape[:-2] + s.shape[-1:]), range(n)
+    else:
+        r = [s[..., j, :] for j in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail = range(8, 8 + n % 8)
+    for i in tail:
+        res += s[..., i, :]
+    return res
+
+
 def depthwise_conv2d(x, weight, stride=1):
-    """Same-padding depthwise conv; x (B,C,H,W), weight (C,k,k)."""
+    """Same-padding depthwise conv; x (B,C,H,W), weight (C,k,k).
+
+    The taps run on a zero-padded (C, H, W, B) copy of x, batch innermost,
+    so a tap's window is one run of wo*B contiguous values per row (B at
+    stride 2).  Each output and input-gradient element adds its taps in
+    (di, dj) order from 0.0, and the weight gradient adds in numpy's
+    `(x_window * g).sum(axis=(0, 2, 3))` order, so the layout changes no
+    bits.
+    """
     if x.values.ndim != 4 or weight.values.ndim != 3:
         raise ShapeError(
             f"depthwise_conv2d expects 4-D input and 3-D weight, got "
@@ -475,48 +541,73 @@ def depthwise_conv2d(x, weight, stride=1):
     b, _, h, w = x.values.shape
     ho = (h - 1) // stride + 1
     wo = (w - 1) // stride + 1
-    xp = _pad_hw(x.values, pad)
-    # (di, dj, weight column, output-window rows, columns) per tap
-    taps = [(di, dj, weight.values[:, di, dj][None, :, None, None],
+    hp, wp = h + 2 * pad, w + 2 * pad
+    out = np.empty((b, c, ho, wo))
+    xt = np.zeros((c, hp, wp, b))
+    xt[:, pad:pad + h, pad:pad + w] = x.values.transpose(1, 2, 3, 0)
+    # (tap index, weight column, output-window rows, columns) per tap
+    taps = [(di * k + dj, weight.values[:, di, dj, None, None, None],
              slice(di, di + stride * ho, stride),
              slice(dj, dj + stride * wo, stride))
             for di in range(k) for dj in range(k)]
-    # Per-tap accumulation avoids materializing the k^2-expanded patch
-    # array. Batch slices sized to _DW_SLICE_BYTES keep a slice's input,
-    # output and product buffer in cache across all taps; every element
-    # still sums its taps in (di, dj) order, so the slicing changes no bits.
-    step = max(1, _DW_SLICE_BYTES // (8 * c * (xp[0, 0].size + 2 * ho * wo)))
-    out = np.zeros((b, c, ho, wo))
-    for lo in range(0, b, step):
-        o = out[lo:lo + step]
-        buf = np.empty(o.shape)
-        for _, _, w_tap, rows, cols in taps:
-            o += np.multiply(w_tap, xp[lo:lo + step, :, rows, cols], out=buf)
+    # Channel tiles sized to _DW_TILE_BYTES keep a tile's input, output and
+    # product buffer in cache across all taps.  One accumulator and one
+    # product buffer serve every tile.
+    tile = min(c, max(1, _DW_TILE_BYTES // (8 * b * (hp * wp + 2 * ho * wo))))
+    acc = np.empty((tile, ho, wo, b))
+    buf = np.empty_like(acc)
+    for lo in range(0, c, tile):
+        ch = slice(lo, lo + tile)
+        o, p = acc[:c - lo], buf[:c - lo]
+        o.fill(0.0)
+        for _, w_tap, rows, cols in taps:
+            o += np.multiply(w_tap[ch], xt[ch, rows, cols], out=p)
+        out[:, ch] = o.transpose(3, 0, 1, 2)
 
     need_x = x.requires_grad
-    w_shape, xp_shape = weight.values.shape, xp.shape
-    kept_xp = xp if weight.requires_grad else None  # only dw reads it
+    w_shape = weight.values.shape
+    kept_xt = xt if weight.requires_grad else None  # only dw reads it
 
     def grad_fn(g):
-        dx = dw = None
-        if kept_xp is not None:
-            # Full batch, not sliced: numpy's sum over axes (0, 2, 3) adds in
-            # an order that summing per slice does not reproduce bit for bit.
-            # Each tap's product goes into one reused buffer.
-            dw = np.empty(w_shape)
-            buf = np.empty(g.shape)
-            for di, dj, _, rows, cols in taps:
-                dw[:, di, dj] = np.multiply(kept_xp[:, :, rows, cols], g,
-                                            out=buf).sum(axis=(0, 2, 3))
-        if need_x:
-            dxp = np.zeros(xp_shape)
-            for lo in range(0, b, step):
-                d, gs = dxp[lo:lo + step], g[lo:lo + step]
-                buf = np.empty(gs.shape)
-                for _, _, w_tap, rows, cols in taps:
-                    d[:, :, rows, cols] += np.multiply(w_tap, gs, out=buf)
-            dx = dxp[:, :, pad:pad + h, pad:pad + w]
-        return dx, dw
+        n = ho * wo
+        dx = np.empty((b, c, h, w)) if need_x else None
+        dw = None if kept_xt is None else np.empty((k * k, c))
+        # a tile of g, transposed once and read by both gradients
+        gt = np.empty((tile, ho, wo, b))
+        buf = np.empty_like(gt)
+        dxt = np.empty((tile, hp, wp, b)) if need_x else None
+        if dw is not None and c > 1:
+            stage = np.empty((k * k, tile, _stage_width(n), b))
+        for lo in range(0, c, tile):
+            ch = slice(lo, lo + tile)
+            gs, p = gt[:c - lo], buf[:c - lo]
+            gs[...] = g[:, ch].transpose(1, 2, 3, 0)
+            if need_x:
+                d = dxt[:c - lo]
+                d.fill(0.0)
+                for _, w_tap, rows, cols in taps:
+                    d[:, rows, cols] += np.multiply(w_tap[ch], gs, out=p)
+                dx[:, ch] = d[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+            if dw is None:
+                continue
+            if c == 1:
+                # numpy sums a lone channel's batch and window as one run
+                for t, _, rows, cols in taps:
+                    prod = np.multiply(kept_xt[:, rows, cols], gs, out=p)
+                    dw[t] = np.ascontiguousarray(
+                        prod.transpose(3, 0, 1, 2)).sum(axis=(0, 2, 3))
+                continue
+            # numpy's sum over (0, 2, 3) adds each (sample, channel) window
+            # pairwise, then the samples in order from +0.0.  Each tap's
+            # windows are staged; all taps of the tile finish at once.
+            s = stage[:, :c - lo]
+            for t, _, rows, cols in taps:
+                prod = np.multiply(kept_xt[ch, rows, cols], gs, out=p)
+                _pairwise_stage(prod.reshape(-1, n, b), s[t])
+            # cumsum adds the samples in order from the first, not from
+            # numpy's +0.0; same bits, as no staged sum is -0.0
+            dw[:, ch] = np.cumsum(_pairwise_finish(s, n), axis=-1)[..., -1]
+        return dx, None if dw is None else dw.T.reshape(w_shape)
     return _make(out, (x, weight), grad_fn, "depthwise_conv2d")
 
 

@@ -352,6 +352,33 @@ class TestRefusedInput:
         assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+class TestBadInputFile:
+    """A JSON input that `eval` or `compare` cannot read, or that lacks a
+    key they need, exits 1 with one line naming the file and the key."""
+
+    @pytest.mark.parametrize("command, text, named", [
+        ("eval", None, "cannot read"),
+        ("eval", "{not json", "not valid JSON"),
+        ("eval", "{}", "missing key 'blocks'"),
+        ("eval", '{"blocks": [{"op_index": 0}]}',
+         "missing key 'parallel_factor'"),
+        ("compare", "{}", "missing key 'config_hash'"),
+    ], ids=["eval-missing-file", "eval-invalid-json", "eval-no-blocks",
+            "eval-no-parallel-factor", "compare-no-config-hash"])
+    def test_exits_1_naming_file_and_key(self, small_cfg, tmp_path, capsys,
+                                         command, text, named):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        argv = (["eval", "-c", small_cfg, str(path)] if command == "eval"
+                else ["compare", str(path), str(path)])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err, err
+        assert str(path) in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 class TestGpuFlow:
     def test_gpu_search_with_table(self, tmp_path):
         space = SearchSpace(num_blocks=2, kernel_sizes=(3, 5),

@@ -6,8 +6,10 @@ storage layout) must keep every line here; a change that moves them on
 purpose re-records the pins and says why.
 """
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from cosearch import data as datamod
@@ -117,3 +119,23 @@ def test_oracle_ranking_fingerprint():
            for e in ranking.entries[:2]]
     assert top == [((0, 1), (4, 4), (6, 6), "0.7087171155712739"),
                    ((0, 0), (4, 4), (6, 6), "0.7258209041031461")]
+
+
+def test_desk_step_gradient_bits():
+    """One bilevel step at the desk config: batch 32, 16x16 inputs,
+    depthwise kernels 3 and 5 at strides 1 and 2.  Unlike the tiny runs
+    above, its depthwise convs sum windows of 256 values and run on more
+    than one channel tile."""
+    config = SearchConfig(space=SearchSpace(),
+                          device=DeviceModel.fpga_recursive(900.0), seed=1)
+    dataset = datamod.generate_dataset(config.data)
+    train, val, _ = datamod.split(dataset, config.fractions, config.data.seed)
+    state = search.initialize(config)
+    rng = np.random.default_rng(0)
+    search.bilevel_step(state, next(datamod.batches(train, 32, rng)),
+                        next(datamod.batches(val, 32, rng)), config.tau_start)
+    digests = [hashlib.sha256(opt._flat.grad.tobytes()).hexdigest()
+               for opt in (state.weight_opt, state.arch_opt)]
+    assert digests == [
+        "a39d7bf8cec6e64a917a16b58b3158ba60fe58c85ce7e6451858926fb0856a21",
+        "064ba4d310588986e209512bda5403e3bb6c17ee5710685223c83955b143d8d0"]

@@ -453,47 +453,85 @@ def reference_depthwise(x, weight, stride, g):
 
 @st.composite
 def depthwise_cases(draw):
+    # ho*wo reaches every regime of numpy's pairwise sum: below 8 values,
+    # one leaf of 8..128, and leaves split in halves above 128
     b, c = draw(st.integers(1, 40)), draw(st.integers(1, 8))
-    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    h, w = draw(st.integers(1, 18)), draw(st.integers(1, 18))
     k = draw(st.sampled_from((1, 3, 5, 7)))
     stride = draw(st.sampled_from((1, 2)))
     held = draw(st.sampled_from(((), (0,), (1,))))
-    # samples per batch slice: one, a remainder slice, or the whole batch
-    per_slice = draw(st.integers(1, b))
+    # channels per tile: one, a remainder tile, or all of them
+    per_tile = draw(st.integers(1, c))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    x, weight = rng.normal(size=(b, c, h, w)), rng.normal(size=(c, k, k))
-    x[rng.random(x.shape) < 0.1] = -0.0
-    return x, weight, stride, held, per_slice, rng
+    return (b, c, h, w, k, stride), held, per_tile, rng
+
+
+def assert_same_bits(got, want):
+    # array_equal alone takes -0.0 for 0.0
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestDepthwiseReference:
-    @settings(max_examples=300, deadline=None)
-    @given(depthwise_cases())
-    def test_bitwise_equal_to_per_tap_loop(self, case):
-        x, weight, stride, held, per_slice, rng = case
-        (b, c, h, w), k = x.shape, weight.shape[1]
+    def check(self, shape, held, per_tile, rng):
+        b, c, h, w, k, stride = shape
+        x, weight = rng.normal(size=(b, c, h, w)), rng.normal(size=(c, k, k))
+        x[rng.random(x.shape) < 0.1] = -0.0
         pad = k // 2
         assert np.array_equal(tc._pad_hw(x, pad), np.pad(
             x, ((0, 0), (0, 0), (pad, pad), (pad, pad))))
         ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
         g = rng.normal(size=(b, c, ho, wo))
         want = reference_depthwise(x, weight, stride, g)
-        # the byte budget of `per_slice` samples: padded input, output and
-        # product buffer
-        sample_bytes = 8 * c * ((h + 2 * pad) * (w + 2 * pad) + 2 * ho * wo)
-        with mock.patch.object(tc, "_DW_SLICE_BYTES", per_slice * sample_bytes):
+        # the byte budget of `per_tile` channels: padded input, output and
+        # product buffer over the batch
+        channel_bytes = 8 * b * ((h + 2 * pad) * (w + 2 * pad) + 2 * ho * wo)
+        with mock.patch.object(tc, "_DW_TILE_BYTES", per_tile * channel_bytes):
             with Tape() as tape:
                 out = tc.depthwise_conv2d(
                     *[Tensor(v) if i in held else Parameter(v)
                       for i, v in enumerate((x, weight))], stride=stride)
             (_, _, grad_fn), = tape._entries
             grads = grad_fn(g)
-        assert np.array_equal(out.values, want[0])
+        assert_same_bits(out.values, want[0])
         for i, got in enumerate(grads):
             if i in held:
                 assert got is None
             else:
-                assert np.array_equal(got, want[i + 1])
+                assert_same_bits(got, want[i + 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(depthwise_cases())
+    def test_bitwise_equal_to_per_tap_loop(self, case):
+        self.check(*case)
+
+    # windows of 144 and 256 values (two leaves), desk-sized tiles, and a
+    # lone channel, whose window and batch numpy sums as one run
+    @pytest.mark.parametrize("shape, per_tile", [
+        ((32, 6, 12, 12, 3, 1), 4),
+        ((32, 8, 16, 16, 5, 1), 3),
+        ((32, 8, 16, 16, 5, 2), 8),
+        ((24, 1, 16, 16, 3, 1), 1),
+        ((9, 2, 18, 17, 7, 1), 1),
+    ])
+    def test_bitwise_equal_at_large_windows(self, shape, per_tile):
+        self.check(shape, (), per_tile, np.random.default_rng(sum(shape)))
+
+    @pytest.mark.parametrize("lanes", [1, 3, 32])
+    def test_pairwise_stages_add_in_numpys_order(self, lanes):
+        """The depthwise weight gradient reproduces numpy's pairwise_sum
+        order; a numpy release that sums in another order fails here."""
+        rng = np.random.default_rng(lanes)
+        for n in range(1, 301):
+            # magnitudes over 16 decades, so any other order shows in the bits
+            a = rng.normal(size=(2, n, lanes)) * 10.0 ** rng.uniform(
+                -8, 8, size=(2, n, lanes))
+            a[rng.random(a.shape) < 0.1] = -0.0
+            stage = np.empty((2, tc._stage_width(n), lanes))
+            tc._pairwise_stage(a, stage)
+            want = [[np.add.reduce(np.ascontiguousarray(a[i, :, j]))
+                     for j in range(lanes)] for i in range(2)]
+            assert_same_bits(tc._pairwise_finish(stage, n), np.array(want))
 
 
 # Ops of the random graphs below: each maps two (2, 3) tensors to one.
