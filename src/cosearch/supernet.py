@@ -252,7 +252,7 @@ class Supernet:
 
     def _stem(self, images):
         x = tc.conv2d(Tensor(images), self.stem_w)
-        return tc.relu(tc.channel_affine(x, self.stem_gamma, self.stem_beta))
+        return tc.affine_relu(x, self.stem_gamma, self.stem_beta)
 
     def _head(self, x):
         pooled = tc.global_avg_pool(x)
@@ -262,33 +262,41 @@ class Supernet:
         op = self.blocks[i][m]
         spec = self.space.op_spec(i, m)
         h = tc.conv2d(x, fake_quantize(op.expand, q))
-        h = tc.relu(tc.channel_affine(h, op.gamma1, op.beta1))
+        h = tc.affine_relu(h, op.gamma1, op.beta1)
         h = tc.depthwise_conv2d(h, fake_quantize(op.dw, q), stride=spec.stride)
-        h = tc.relu(tc.channel_affine(h, op.gamma2, op.beta2))
+        h = tc.affine_relu(h, op.gamma2, op.beta2)
         h = tc.conv2d(h, fake_quantize(op.project, q))
-        return tc.relu(tc.channel_affine(h, op.gamma3, op.beta3))
+        return tc.affine_relu(h, op.gamma3, op.beta3)
 
     def forward_train(self, images, labels, tau, rng):
         """Hard-sampled training pass; returns the cross-entropy loss.
 
         One op and one bit-width execute per block; their straight-through
         sampling scalars multiply the block output so gradients reach theta
-        and phi.
+        and phi.  One draw samples all blocks: per block, M op uniforms then
+        Q bit-width uniforms (the op picked changes neither); shared Q first.
         """
         bits = self.space.quant.bit_widths
-        x = self._stem(images)
+        (n, n_ops), q = self.theta.values.shape, len(bits)
         if self.shared_precision:
-            phi_gs = tc.gumbel_softmax(self.phi, tau, rng=rng, hard=True)
-        for i in range(self.space.num_blocks):
-            theta_gs = tc.gumbel_softmax(self.theta[i], tau, rng=rng, hard=True)
-            m = int(np.argmax(theta_gs.values))
-            if not self.shared_precision:
-                phi_gs = tc.gumbel_softmax(self.phi[(i, m)], tau, rng=rng,
-                                           hard=True)
-            qi = int(np.argmax(phi_gs.values))
+            u = rng.random(q + n * n_ops)
+            u_theta, u_phi = u[q:].reshape(n, n_ops), u[:q]
+        else:
+            u = rng.random((n, n_ops + q))
+            u_theta, u_phi = u[:, :n_ops], u[:, n_ops:]
+        theta_st = tc.gumbel_hard_rows(self.theta, tau, u_theta)
+        ops = theta_st.values.argmax(axis=-1)
+        phi = self.phi if self.shared_precision \
+            else self.phi[(np.arange(n), ops)]
+        phi_st = tc.gumbel_hard_rows(phi, tau, u_phi)
+        qs = np.broadcast_to(phi_st.values.argmax(axis=-1), n)
+        x = self._stem(images)
+        for i, (m, qi) in enumerate(zip(ops.tolist(), qs.tolist())):
             self.exec_counts[i, m] += 1
             self.quant_counts[i, m, qi] += 1
-            x = self._run_op(x, i, m, bits[qi]) * theta_gs[m] * phi_gs[qi]
+            # a take per block: the shared sample's gradient adds in tape order
+            phi_i = phi_st[qi] if self.shared_precision else phi_st[(i, qi)]
+            x = self._run_op(x, i, m, bits[qi]) * theta_st[(i, m)] * phi_i
         return tc.softmax_cross_entropy(self._head(x), labels)
 
     def forward_infer(self, design, images):

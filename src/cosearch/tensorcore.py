@@ -151,16 +151,17 @@ def _check_finite(arr, op):
 class Tensor:
     """Immutable-by-convention dense array node.
 
-    Non-finite values are rejected at creation so a diverging run fails at
-    the op that produced the NaN/Inf instead of ten steps later.  `node` is
-    a process-wide serial that names the tensor on a tape.
+    Non-finite values are rejected at creation (`_op=None`: the primitive
+    checked them) so a diverging run fails at the op that produced the
+    NaN/Inf, not ten steps later.  `node` names the tensor on a tape.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "node")
 
     def __init__(self, values, requires_grad=False, _op="tensor"):
         arr = np.asarray(values, dtype=np.float64)
-        _check_finite(arr, _op)
+        if _op is not None:
+            _check_finite(arr, _op)
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -295,10 +296,12 @@ def add(a, b):
 
 
 def sub(a, b):
-    a_shape, b_shape = a.values.shape, b.values.shape
+    a_shape = a.values.shape if a.requires_grad else None
+    b_shape = b.values.shape if b.requires_grad else None
 
     def grad_fn(g):
-        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else -_unbroadcast(g, b_shape))
     return _make(a.values - b.values, (a, b), grad_fn, "sub")
 
 
@@ -315,13 +318,16 @@ def mul(a, b):
 
 
 def div(a, b):
-    a_vals, b_vals = a.values, b.values
+    b_vals = b.values
+    a_shape = a.values.shape if a.requires_grad else None
+    a_vals = a.values if b.requires_grad else None  # only b's gradient reads it
 
     def grad_fn(g):
-        return (_unbroadcast(g / b_vals, a_vals.shape),
-                _unbroadcast(-g * a_vals / (b_vals ** 2), b_vals.shape))
+        return (None if a_shape is None else _unbroadcast(g / b_vals, a_shape),
+                None if a_vals is None
+                else _unbroadcast(-g * a_vals / (b_vals ** 2), b_vals.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = a_vals / b_vals
+        vals = a.values / b_vals
     return _make(vals, (a, b), grad_fn, "div")
 
 
@@ -331,18 +337,6 @@ def exp(a):
     def grad_fn(g):
         return (g * out_vals,)
     return _make(out_vals, (a,), grad_fn, "exp")
-
-
-def relu(a):
-    # maximum(-0.0, 0.0) is +0.0, as where(a > 0, a, 0.0) gives
-    out_vals = np.maximum(a.values, 0.0)
-    # out > 0 exactly where a > 0: a bool mask of the output, so the input
-    # is not kept
-    mask = out_vals > 0 if a.requires_grad else None
-
-    def grad_fn(g):
-        return (g * mask,)
-    return _make(out_vals, (a,), grad_fn, "relu")
 
 
 def pow2(a):
@@ -628,25 +622,33 @@ def depthwise_conv2d(x, weight, stride=1):
     return _make(out, (x, weight), grad_fn, "depthwise_conv2d")
 
 
-def channel_affine(x, gamma, beta):
-    """Per-channel scale+shift on (B,C,H,W); the fixed-stats norm stand-in."""
+def affine_relu(x, gamma, beta):
+    """relu(x * gamma + beta) with per-channel gamma and beta on (B,C,H,W):
+    the fixed-stats norm stand-in and its activation as one node."""
     c = x.values.shape[1]
     if gamma.values.shape != (c,) or beta.values.shape != (c,):
         raise ShapeError(
-            f"channel_affine: need per-channel params of shape ({c},), got "
+            f"affine_relu: need per-channel params of shape ({c},), got "
             f"{gamma.values.shape} and {beta.values.shape}")
     gam = gamma.values.reshape(1, c, 1, 1)
     out = x.values * gam
     out += beta.values.reshape(1, c, 1, 1)
-
+    # checked before the relu would clip a -inf; the output, max(finite,
+    # 0), needs no second check.  maximum(-0.0, 0.0) is +0.0.
+    _check_finite(out, "affine_relu")
+    np.maximum(out, 0.0, out=out)
     need_x, need_beta = x.requires_grad, beta.requires_grad
     x_vals = x.values if gamma.requires_grad else None  # only dgamma reads it
+    # out > 0 exactly where x * gamma + beta > 0; built for a tape only
+    mask = out > 0 if active_tape() is not None and (
+        need_x or need_beta or x_vals is not None) else None
 
     def grad_fn(g):
-        return (g * gam if need_x else None,
-                None if x_vals is None else (g * x_vals).sum(axis=(0, 2, 3)),
-                g.sum(axis=(0, 2, 3)) if need_beta else None)
-    return _make(out, (x, gamma, beta), grad_fn, "channel_affine")
+        gm = g * mask
+        return (gm * gam if need_x else None,
+                None if x_vals is None else (gm * x_vals).sum(axis=(0, 2, 3)),
+                gm.sum(axis=(0, 2, 3)) if need_beta else None)
+    return _make(out, (x, gamma, beta), grad_fn, None)
 
 
 def global_avg_pool(x):
@@ -728,8 +730,8 @@ def gumbel_softmax_rows(logits, tau, u=None):
     """Concrete relaxation over the last axis of `logits`.
 
     `u` holds one uniform per logit (the Gumbel noise source); u=None gives
-    the plain tempered softmax.  Each row comes out exactly as a separate
-    vector call with that row's uniforms would.
+    the plain tempered softmax.  Each row comes out exactly as that row
+    alone, with its uniforms, would.
     """
     if tau <= 0:
         raise ValueError(f"gumbel_softmax: tau must be positive, got {tau}")
@@ -740,23 +742,13 @@ def gumbel_softmax_rows(logits, tau, u=None):
     return softmax(z / Tensor(float(tau)))
 
 
-def gumbel_softmax(logits, tau, rng=None, hard=False):
-    """Concrete-relaxation sample over a logit vector.
-
-    rng=None disables noise (plain tempered softmax); with `hard` the forward
-    value is one-hot at the argmax while gradients follow the soft weights
-    (straight-through).
-    """
-    if logits.values.ndim != 1:
-        raise ShapeError(f"gumbel_softmax expects a logit vector, got shape "
-                         f"{logits.values.shape}")
-    u = None if rng is None else rng.random(logits.values.shape)
+def gumbel_hard_rows(logits, tau, u):
+    """Hard sample of each row of `logits` from the uniforms `u`: one-hot
+    at the row's argmax forward, while gradients follow the soft weights
+    (straight-through)."""
     soft = gumbel_softmax_rows(logits, tau, u)
-    if not hard:
-        return soft
-    one_hot = np.zeros_like(soft.values)
-    one_hot[int(np.argmax(soft.values))] = 1.0
-    return straight_through(soft, one_hot)
+    picks = soft.values.argmax(axis=-1)[..., None]
+    return straight_through(soft, np.arange(soft.values.shape[-1]) == picks)
 
 
 def straight_through(x, forward_values):

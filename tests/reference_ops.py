@@ -2,7 +2,13 @@
 
 - tape primitives: `stack`, on which the scalar reference models build,
   and `tanh` and `log`, kept as more primitives for the gradient checks;
-  they record onto the tape like the ones in `cosearch.tensorcore`;
+  `channel_affine` and `relu`, the two nodes that `tc.affine_relu` fuses;
+  and the vector `gumbel_softmax`, one block's sample as the supernet drew
+  it before it drew all blocks at once.  They record onto the tape like
+  the ones in `cosearch.tensorcore`;
+- `reference_forward_train`, the supernet's training pass as it was before
+  one draw per forward: one draw per block, on the vector helper, and the
+  unfused affine and relu;
 - `finite_diff_check`, the central-difference gradient checker;
 - `forward_soft`, the noise-free fully-soft supernet pass of the
   gradient-fidelity harness (criterion 1);
@@ -23,6 +29,7 @@ from cosearch import data as datamod
 from cosearch import tensorcore as tc
 from cosearch.costmodel import InfeasibleError
 from cosearch.search import SGD, Adam
+from cosearch.supernet import fake_quantize
 
 
 def tanh(a):
@@ -50,6 +57,90 @@ def stack(tensors):
         return tuple(g[i] for i in range(len(tensors)))
     return tc._make(np.stack([t.values for t in tensors]), tuple(tensors),
                     grad_fn, "stack")
+
+
+def relu(a):
+    # maximum(-0.0, 0.0) is +0.0, as where(a > 0, a, 0.0) gives
+    out_vals = np.maximum(a.values, 0.0)
+    # out > 0 exactly where a > 0: a bool mask of the output, so the input
+    # is not kept
+    mask = out_vals > 0 if a.requires_grad else None
+
+    def grad_fn(g):
+        return (g * mask,)
+    return tc._make(out_vals, (a,), grad_fn, "relu")
+
+
+def channel_affine(x, gamma, beta):
+    """Per-channel scale+shift on (B,C,H,W); the fixed-stats norm stand-in."""
+    c = x.values.shape[1]
+    if gamma.values.shape != (c,) or beta.values.shape != (c,):
+        raise tc.ShapeError(
+            f"channel_affine: need per-channel params of shape ({c},), got "
+            f"{gamma.values.shape} and {beta.values.shape}")
+    gam = gamma.values.reshape(1, c, 1, 1)
+    out = x.values * gam
+    out += beta.values.reshape(1, c, 1, 1)
+
+    need_x, need_beta = x.requires_grad, beta.requires_grad
+    x_vals = x.values if gamma.requires_grad else None  # only dgamma reads it
+
+    def grad_fn(g):
+        return (g * gam if need_x else None,
+                None if x_vals is None else (g * x_vals).sum(axis=(0, 2, 3)),
+                g.sum(axis=(0, 2, 3)) if need_beta else None)
+    return tc._make(out, (x, gamma, beta), grad_fn, "channel_affine")
+
+
+def gumbel_softmax(logits, tau, rng=None, hard=False):
+    """Concrete-relaxation sample over a logit vector.
+
+    rng=None disables noise (plain tempered softmax); with `hard` the forward
+    value is one-hot at the argmax while gradients follow the soft weights
+    (straight-through).
+    """
+    if logits.values.ndim != 1:
+        raise tc.ShapeError(f"gumbel_softmax expects a logit vector, got shape "
+                            f"{logits.values.shape}")
+    u = None if rng is None else rng.random(logits.values.shape)
+    soft = tc.gumbel_softmax_rows(logits, tau, u)
+    if not hard:
+        return soft
+    one_hot = np.zeros_like(soft.values)
+    one_hot[int(np.argmax(soft.values))] = 1.0
+    return tc.straight_through(soft, one_hot)
+
+
+def _reference_run_op(net, x, i, m, q):
+    op = net.blocks[i][m]
+    spec = net.space.op_spec(i, m)
+    h = tc.conv2d(x, fake_quantize(op.expand, q))
+    h = relu(channel_affine(h, op.gamma1, op.beta1))
+    h = tc.depthwise_conv2d(h, fake_quantize(op.dw, q), stride=spec.stride)
+    h = relu(channel_affine(h, op.gamma2, op.beta2))
+    h = tc.conv2d(h, fake_quantize(op.project, q))
+    return relu(channel_affine(h, op.gamma3, op.beta3))
+
+
+def reference_forward_train(net, images, labels, tau, rng):
+    """`Supernet.forward_train` sampling block by block: the stem, then per
+    block one vector draw for its op and one for its bit-width (one shared
+    draw, first, with shared precision)."""
+    bits = net.space.quant.bit_widths
+    x = tc.conv2d(tc.Tensor(images), net.stem_w)
+    x = relu(channel_affine(x, net.stem_gamma, net.stem_beta))
+    if net.shared_precision:
+        phi_gs = gumbel_softmax(net.phi, tau, rng=rng, hard=True)
+    for i in range(net.space.num_blocks):
+        theta_gs = gumbel_softmax(net.theta[i], tau, rng=rng, hard=True)
+        m = int(np.argmax(theta_gs.values))
+        if not net.shared_precision:
+            phi_gs = gumbel_softmax(net.phi[(i, m)], tau, rng=rng, hard=True)
+        qi = int(np.argmax(phi_gs.values))
+        net.exec_counts[i, m] += 1
+        net.quant_counts[i, m, qi] += 1
+        x = _reference_run_op(net, x, i, m, bits[qi]) * theta_gs[m] * phi_gs[qi]
+    return tc.softmax_cross_entropy(net._head(x), labels)
 
 
 def finite_diff_check(loss_fn, params, eps=1e-5):
@@ -90,13 +181,13 @@ def forward_soft(net, images, labels, tau):
     x = net._stem(images)
     shared_w = None
     if net.shared_precision:
-        shared_w = tc.gumbel_softmax(net.phi, tau)
+        shared_w = gumbel_softmax(net.phi, tau)
     for i in range(net.space.num_blocks):
-        theta_w = tc.gumbel_softmax(net.theta[i], tau)
+        theta_w = gumbel_softmax(net.theta[i], tau)
         acc = None
         for m in range(net.space.num_ops):
             phi_w = shared_w if shared_w is not None \
-                else tc.gumbel_softmax(net.phi[(i, m)], tau)
+                else gumbel_softmax(net.phi[(i, m)], tau)
             op_out = None
             for qi, q in enumerate(bits):
                 term = net._run_op(x, i, m, q) * phi_w[qi]
@@ -125,7 +216,7 @@ def baseline_convnet_accuracy(train, heldout, epochs=20, channels=12, lr=0.1,
     brng = np.random.default_rng(seed + 1)
 
     def logits_of(images):
-        h = tc.relu(tc.channel_affine(tc.conv2d(tc.Tensor(images), w1), g1, b1))
+        h = relu(channel_affine(tc.conv2d(tc.Tensor(images), w1), g1, b1))
         return tc.matmul(tc.global_avg_pool(h), w2) + b2
 
     for _ in range(epochs):

@@ -15,7 +15,8 @@ from cosearch.search import predict_discrete
 from cosearch.supernet import QuantLevels, SearchSpace
 from cosearch.tensorcore import Parameter, Tape, Tensor
 
-from reference_ops import finite_diff_check, initial_parallel_factors, stack
+from reference_ops import (finite_diff_check, gumbel_softmax,
+                           initial_parallel_factors, stack)
 
 
 def fpga_space(**kw):
@@ -394,7 +395,7 @@ class TestAssembleGradients:
         space = fpga_space(quant=QuantLevels((8, 16)))
         cm = CostModel(space, DeviceModel.gpu(reference_gpu_table(space)))
         theta_w = Tensor(np.full((2, 2), 0.5))
-        shared = tc.gumbel_softmax(Parameter(np.array([0.7, -0.1])), 1.0)
+        shared = gumbel_softmax(Parameter(np.array([0.7, -0.1])), 1.0)
         a, _ = cm.terms(theta_w, shared)
         b, _ = cm.terms(theta_w, Tensor(np.broadcast_to(shared.values,
                                                         (2, 2, 2))))
@@ -413,12 +414,12 @@ def reference_assemble(cm, theta, phi, pf, tau, rng=None):
     res_vec = Tensor([psi(q) for q in bits])
     shared_w = None
     if device.shared_precision:
-        shared_w = tc.gumbel_softmax(phi, tau, rng=rng)
+        shared_w = gumbel_softmax(phi, tau, rng=rng)
     theta_ws, phi_ws = [], []
     for i in range(n):
-        theta_ws.append(tc.gumbel_softmax(theta[i], tau, rng=rng))
+        theta_ws.append(gumbel_softmax(theta[i], tau, rng=rng))
         phi_ws.append([shared_w if shared_w is not None
-                       else tc.gumbel_softmax(phi[(i, m)], tau, rng=rng)
+                       else gumbel_softmax(phi[(i, m)], tau, rng=rng)
                        for m in range(m_count)])
 
     block_perfs, block_ress = [], []

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosearch import tensorcore as tc
 from cosearch.supernet import (QuantLevels, SearchSpace, SpaceError, Supernet,
                                fake_quantize)
 from cosearch.tensorcore import Parameter, Tape, Tensor
+
+from reference_ops import reference_forward_train
 
 
 def small_space(**kw):
@@ -168,6 +171,68 @@ class TestForwardTrain:
         assert run() == run()
 
 
+@st.composite
+def sampling_cases(draw):
+    """A random small space, supernet seed, logits, tau and frozen group."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    # m ops as kernels x expansions: (1, m) or, for m = 2 or 4, (2, m / 2)
+    n_k = draw(st.sampled_from([1, 2])) if m % 2 == 0 else 1
+    q = draw(st.integers(1, 3))
+    space = SearchSpace(
+        num_blocks=n, kernel_sizes=(1, 3)[:n_k],
+        expansion_ratios=tuple(range(1, m // n_k + 1)),
+        quant=QuantLevels((4, 8, 16)[:q]), input_hw=(4, 4), stem_channels=2,
+        channel_plan=(2,) * n,
+        downsample_blocks=tuple(draw(st.sets(st.integers(1, min(n, 2))))))
+    return dict(space=space, shared=draw(st.booleans()),
+                seed=draw(st.integers(0, 2 ** 16)),
+                tau=draw(st.floats(0.1, 5.0)),
+                saturated=draw(st.booleans()),
+                frozen=draw(st.sampled_from(["none", "arch", "weights"])))
+
+
+class TestBatchedSampling:
+    """forward_train's one draw per forward against the per-block loop it
+    replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sampling_cases())
+    def test_bitwise_equal_to_per_block_sampling(self, case):
+        space = case["space"]
+
+        def run(forward):
+            net = Supernet(space, seed=case["seed"],
+                           shared_precision=case["shared"])
+            rng = np.random.default_rng(case["seed"])
+            theta = rng.normal(0, 2, net.theta.values.shape)
+            if case["saturated"]:
+                theta = 50.0 * np.sign(theta)
+            net.theta.assign(theta)
+            net.phi.assign(rng.normal(0, 2, net.phi.values.shape))
+            x, y = batch(space, n=3, seed=case["seed"])
+            frozen = {"none": [], "arch": net.arch_parameters(),
+                      "weights": net.weight_parameters()}[case["frozen"]]
+            params = net.weight_parameters() + net.arch_parameters()
+            losses = []
+            for _ in range(2):
+                with Tape(frozen=frozen) as tape:
+                    loss = forward(net, x, y, case["tau"], rng)
+                    tape.backward(loss)
+                losses.append(loss.values)
+            return (losses, [p.grad for p in params], net.exec_counts,
+                    net.quant_counts, rng.random())
+
+        got = run(Supernet.forward_train)
+        want = run(reference_forward_train)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert np.array_equal(got[2], want[2])
+        assert np.array_equal(got[3], want[3])
+        assert got[4] == want[4]
+
+
 class TestSharedPrecision:
     def test_one_bit_width_for_all_blocks(self):
         space = small_space()
@@ -215,12 +280,13 @@ class TestSharedPrecision:
         with Tape() as tape:
             tape.backward(net.forward_train(x, y, 1.0,
                                             np.random.default_rng(0)))
-        # theta is read once per block too; the one other such input is
-        # the shared bit-width sample
-        shared = [g for inp, g in reads if inp is not net.theta
-                  and sum(other is inp for other, _ in reads) == 3]
+        # the op sample (N x M) is read once per block too; the shared
+        # bit-width sample is the one input of shape (Q,)
+        q = len(space.quant)
+        shared = [(inp, g) for inp, g in reads if inp.values.shape == (q,)]
         assert len(shared) == 3
-        assert all(np.any(g != 0) for g in shared)
+        assert all(inp is shared[0][0] for inp, _ in shared)
+        assert all(np.any(g != 0) for _, g in shared)
         assert np.any(net.phi.grad != 0)
 
 

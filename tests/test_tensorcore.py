@@ -10,7 +10,8 @@ from cosearch import tensorcore as tc
 from cosearch.tensorcore import (NonFiniteError, Parameter, ShapeError, Tape,
                                  Tensor)
 
-from reference_ops import ReferenceTape, finite_diff_check, log, stack, tanh
+from reference_ops import (ReferenceTape, channel_affine, finite_diff_check,
+                           gumbel_softmax, log, relu, stack, tanh)
 
 
 def backward(loss_fn, params):
@@ -28,13 +29,20 @@ class TestForwardValues:
         assert out.values.tolist() == [[3], [7]]
 
     def test_relu(self):
-        assert tc.relu(Tensor([-1, 0, 2])).values.tolist() == [0, 0, 2]
+        def unit(x):  # x * 1 + -0.0 is x, -0.0 included
+            c = x.shape[1]
+            return tc.affine_relu(Tensor(x), Tensor(np.ones(c)),
+                                  Tensor(np.full(c, -0.0))).values
+
+        assert unit(np.array([-1.0, 0, 2]).reshape(1, 1, 1, 3)).ravel(
+        ).tolist() == [0, 0, 2]
         tiny = np.finfo(np.float64).smallest_subnormal
         base = np.array([[-0.0, 0.0, tiny, -tiny, 3 * tiny, -1.5, 2.5, -0.0],
                          [1e-310, -1e-310, 0.0, -0.0, 7.0, -7.0, tiny, 1.0]])
         for a in (base, base[:, ::3], base.T[::2]):
-            got = tc.relu(Tensor(a)).values
-            want = np.where(a > 0, a, 0.0)
+            a4 = a[None, None]
+            got = unit(a4)
+            want = np.where(a4 > 0, a4, 0.0)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -189,70 +197,131 @@ class TestProd:
 
 class TestGumbelSoftmax:
     def test_uniform_when_noise_off(self):
-        out = tc.gumbel_softmax(Tensor(np.zeros(4)), tau=1.0)
+        out = tc.gumbel_softmax_rows(Tensor(np.zeros((2, 4))), tau=1.0)
         assert np.allclose(out.values, 0.25)
 
     def test_hard_is_one_hot(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            logits = Tensor(rng.normal(size=5))
-            out = tc.gumbel_softmax(logits, tau=0.7, rng=rng, hard=True)
-            assert sorted(out.values.tolist())[-1] == 1.0
-            assert np.count_nonzero(out.values) == 1
+            logits = Tensor(rng.normal(size=(3, 5)))
+            out = tc.gumbel_hard_rows(logits, 0.7, rng.random((3, 5)))
+            assert np.all(out.values.max(axis=1) == 1.0)
+            assert np.all(np.count_nonzero(out.values, axis=1) == 1)
 
     def test_probability_vector(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            logits = Tensor(rng.normal(0, 5, 6))
-            out = tc.gumbel_softmax(logits, tau=float(rng.uniform(0.1, 5)), rng=rng)
+            logits = Tensor(rng.normal(0, 5, (2, 6)))
+            out = tc.gumbel_softmax_rows(logits, float(rng.uniform(0.1, 5)),
+                                         rng.random((2, 6)))
             assert np.all(out.values >= 0)
-            assert abs(out.values.sum() - 1.0) <= 1e-12
+            assert np.all(np.abs(out.values.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_selection_frequency_matches_gumbel_argmax(self):
         # closed form: P(pick 0) = e^10 / (e^10 + 1)
         rng = np.random.default_rng(123)
-        logits = Tensor([10.0, 0.0])
         n = 100_000
-        picks = 0
-        for _ in range(n):
-            out = tc.gumbel_softmax(logits, tau=1.0, rng=rng, hard=True)
-            picks += int(out.values[0] == 1.0)
+        logits = Tensor(np.tile([10.0, 0.0], (n, 1)))
+        out = tc.gumbel_hard_rows(logits, 1.0, rng.random((n, 2)))
         want = math.exp(10) / (math.exp(10) + 1)
-        assert picks / n == pytest.approx(want, abs=0.01)
+        assert np.mean(out.values[:, 0] == 1.0) == pytest.approx(want, abs=0.01)
 
     def test_tau_must_be_positive(self):
         with pytest.raises(ValueError, match="tau"):
-            tc.gumbel_softmax(Tensor([0.0, 1.0]), tau=0.0)
+            tc.gumbel_hard_rows(Tensor([0.0, 1.0]), 0.0, np.full(2, 0.5))
 
     @settings(max_examples=150, deadline=None)
     @given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
-           seed=st.integers(0, 2 ** 32 - 1), noisy=st.booleans())
-    def test_rows_equal_per_row_vector_calls(self, shape, seed, noisy):
+           seed=st.integers(0, 2 ** 32 - 1), noisy=st.booleans(),
+           hard=st.booleans())
+    def test_rows_equal_per_row_vector_calls(self, shape, seed, noisy, hard):
         # one draw of all uniforms equals one draw per row, in row order
+        assume(noisy or not hard)
         values = np.random.default_rng(seed).normal(0, 3, shape)
         coeff = np.random.default_rng(seed + 1).normal(size=shape)
         tau = float(np.random.default_rng(seed + 2).uniform(0.1, 5.0))
         u = np.random.default_rng(seed).random(shape) if noisy else None
         logits = Parameter(values)
         with Tape() as tape:
-            out = tc.gumbel_softmax_rows(logits, tau, u)
+            helper = tc.gumbel_hard_rows if hard else tc.gumbel_softmax_rows
+            out = helper(logits, tau, u)
             tape.backward((out * Tensor(coeff)).sum())
         rng = np.random.default_rng(seed) if noisy else None
         for row in np.ndindex(*shape[:-1]):
             vec = Parameter(values[row])
             with Tape() as tape:
-                got = tc.gumbel_softmax(vec, tau, rng=rng)
+                got = gumbel_softmax(vec, tau, rng=rng, hard=hard)
                 tape.backward((got * Tensor(coeff[row])).sum())
             assert np.array_equal(got.values, out.values[row])
             assert np.array_equal(vec.grad, logits.grad[row])
 
     def test_straight_through_gradient_flows(self):
-        logits = Parameter([0.3, -0.2, 0.9])
-        rng = np.random.default_rng(3)
-        coeff = Tensor([1.0, 2.0, 3.0])
-        backward(lambda: (tc.gumbel_softmax(logits, 1.0, rng=np.random.default_rng(3),
-                                            hard=True) * coeff).sum(), [logits])
+        logits = Parameter([[0.3, -0.2, 0.9]])
+        u = np.random.default_rng(3).random((1, 3))
+        coeff = Tensor([[1.0, 2.0, 3.0]])
+        backward(lambda: (tc.gumbel_hard_rows(logits, 1.0, u) * coeff).sum(),
+                 [logits])
         assert np.any(logits.grad != 0)
+
+
+class TestAffineRelu:
+    """The fused node against the two nodes it replaced."""
+
+    @staticmethod
+    def inputs(seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(3, 4, 5, 5))
+        gamma, beta = rng.normal(size=4), rng.normal(size=4)
+        # pre-activations at exactly +-0.0, and -0.0 inputs and gradients
+        x[0, :, 0, 0] = -beta / gamma
+        x[1, 0] = -0.0
+        beta[1] = -0.0
+        g = rng.normal(size=x.shape)
+        g[2, :, 1] = -0.0
+        return x, gamma, beta, g
+
+    @staticmethod
+    def closure_grads(fn, frozen, x, gamma, beta, g):
+        """Forward values and the input gradients the recorded closures
+        return for the output gradient g, chained by hand."""
+        args = [Tensor(v) if i in frozen else Parameter(v)
+                for i, v in enumerate((x, gamma, beta))]
+        with Tape() as tape:
+            out = fn(*args)
+            grads = (g,)
+            for _, _, grad_fn in reversed(tape._entries):
+                grads = grad_fn(grads[0])
+        if len(frozen) == 3:
+            assert len(tape) == 0
+            grads = (None, None, None)
+        return out.values, grads
+
+    @pytest.mark.parametrize("frozen", [
+        (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
+    def test_bitwise_equal_to_reference(self, frozen):
+        def reference(x, gamma, beta):
+            return relu(channel_affine(x, gamma, beta))
+
+        for seed in range(5):
+            data = self.inputs(seed)
+            want_out, want = self.closure_grads(reference, frozen, *data)
+            got_out, got = self.closure_grads(tc.affine_relu, frozen, *data)
+            for a, b in zip((got_out,) + got, (want_out,) + want):
+                if b is None:
+                    assert a is None
+                    continue
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_negative_overflow_is_refused_before_the_clip(self):
+        x = Tensor(np.full((1, 2, 2, 2), 1e308))
+        with Tape(), pytest.raises(NonFiniteError, match="affine_relu"):
+            tc.affine_relu(x, Parameter([-10.0, 1.0]), Parameter([0.0, 0.0]))
+
+    def test_shape_error_names_the_op(self):
+        with pytest.raises(ShapeError, match="affine_relu"):
+            tc.affine_relu(Tensor(np.ones((1, 2, 3, 3))), Tensor(np.ones(3)),
+                           Tensor(np.zeros(2)))
 
 
 class TestFiniteDiff:
@@ -273,13 +342,19 @@ class TestFiniteDiff:
         "conv1x1_const_x": (tc.conv2d, ((2, 3, 5, 5), (4, 3, 1, 1)), (0,)),
         "dwconv_const_w": (tc.depthwise_conv2d, ((2, 3, 5, 5), (3, 3, 3)),
                            (1,)),
-        "affine_const_gb": (tc.channel_affine, ((2, 3, 4, 4), (3,), (3,)),
+        "affine_const_gb": (channel_affine, ((2, 3, 4, 4), (3,), (3,)),
                             (1, 2)),
         "mul_const_b": (tc.mul, ((2, 3), (2, 3)), (1,)),
+        "sub_const_a": (tc.sub, ((2, 3), (2, 3)), (0,)),
+        "sub_const_b": (tc.sub, ((2, 3), (3,)), (1,)),
+        # a broadcast constant divisor, as a Gumbel sample's tau
+        "div_const_b": (tc.div, ((2, 3), ()), (1,)),
+        "div_const_a": (tc.div, ((2, 3), (2, 3)), (0,)),
     }
 
     PRIMITIVES = ["add", "sub", "mul", "div", "exp", "log", "tanh", "relu",
-                  "pow2", "matmul", "conv", "dwconv", "affine", "gap",
+                  "pow2", "matmul", "conv", "dwconv", "affine", "affine_relu",
+                  "gap",
                   "xent", "xent_rows", "softmax", "lse", "take", "stack",
                   "sum_axis", "prod"] \
         + list(CONSTANT_INPUT)
@@ -368,7 +443,7 @@ class TestFiniteDiff:
             # keep values away from the kink
             shift = Tensor(np.where(np.abs(a.values) < 0.05, 0.2, 0.0))
             return finite_diff_check(
-                lambda: (tc.relu(a + shift) * mix).sum(), [a])
+                lambda: (relu(a + shift) * mix).sum(), [a])
         if name == "pow2":
             return finite_diff_check(lambda: (tc.pow2(a) * mix).sum(), [a])
         if name == "matmul":
@@ -393,7 +468,19 @@ class TestFiniteDiff:
             be = Parameter(rng.normal(size=3))
             m2 = Tensor(rng.normal(size=(2, 3, 4, 4)))
             return finite_diff_check(
-                lambda: (tc.channel_affine(x, g, be) * m2).sum(), [x, g, be])
+                lambda: (channel_affine(x, g, be) * m2).sum(), [x, g, be])
+        if name == "affine_relu":
+            x = Parameter(rng.normal(size=(2, 3, 4, 4)))
+            g = Parameter(rng.choice([-1, 1], 3) * rng.uniform(0.5, 1.5, 3))
+            be = Parameter(rng.normal(size=3))
+            # keep pre-activations away from the kink
+            gam = g.values[:, None, None]
+            pre = x.values * gam + be.values[:, None, None]
+            shift = Tensor(np.where(np.abs(pre) < 0.05, 0.2 / gam, 0.0))
+            m2 = Tensor(rng.normal(size=(2, 3, 4, 4)))
+            return finite_diff_check(
+                lambda: (tc.affine_relu(x + shift, g, be) * m2).sum(),
+                [x, g, be])
         if name == "gap":
             x = Parameter(rng.normal(size=(2, 3, 4, 4)))
             m2 = Tensor(rng.normal(size=(2, 3)))
@@ -552,7 +639,7 @@ GRAPH_OPS = {
     "mul": lambda a, b: a * b,
     "square": lambda a, b: a * a,
     "div": lambda a, b: a / tc.pow2(b),
-    "relu": lambda a, b: tc.relu(a),
+    "relu": lambda a, b: relu(a),
     "softmax": lambda a, b: tc.softmax(a),
     "row": lambda a, b: a[1] + b,
     "colsum": lambda a, b: a.sum(axis=0) * b,
@@ -579,14 +666,19 @@ class TestTape:
         x = Parameter(rng.normal(size=(2, 3, 4, 4)))
         gamma, beta = Parameter(np.ones(3)), Parameter(rng.normal(size=3))
         with Tape(frozen=[gamma]) as tape:
-            h = tc.channel_affine(x, gamma, beta)  # gamma frozen: x unread
+            h = x * Tensor(2.0)  # mul keeps the constant, not x
             freed = weakref.ref(h.values)
-            loss = tc.relu(h).sum()  # relu keeps a mask, not its input
+            out = tc.affine_relu(h, gamma, beta)  # gamma frozen: h unread
             del h
             assert freed() is None
+            freed = weakref.ref(out.values)
+            loss = out.sum()  # a mask is kept, not the output
+            del out
+            assert freed() is None
             tape.backward(loss)
-        assert np.array_equal(x.grad, (x.values + beta.values[:, None, None]
-                                       > 0).astype(float))
+        assert np.array_equal(x.grad, 2.0 * (2.0 * x.values
+                                             + beta.values[:, None, None]
+                                             > 0))
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs())
@@ -625,7 +717,7 @@ class TestDeterminism:
             for _ in range(20):
                 p.grad[...] = 0.0
                 with Tape() as tape:
-                    gs = tc.gumbel_softmax(p, 0.9, rng=rng, hard=True)
+                    gs = tc.gumbel_hard_rows(p, 0.9, rng.random(6))
                     loss = (gs * Tensor([1., 2, 3, 4, 5, 6])).sum() + (p * p).sum()
                     tape.backward(loss)
                 p.assign(p.values - 0.05 * p.grad)
