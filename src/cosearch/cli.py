@@ -206,15 +206,20 @@ def validate_config(raw) -> dict:
     return merged
 
 
-def load_config_file(path) -> dict:
+def _read_yaml(path, what):
+    """The YAML at `path`, or one line of ConfigFileError naming the file."""
     try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigFileError(f"config file not found: {path}") from None
+        with open(path, "rb") as fh:  # YAML decodes, so bad UTF-8 is a YAMLError
+            return yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigFileError(f"cannot read {what} {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
-        raise ConfigFileError(f"{path}: not valid YAML: {exc}") from None
-    return validate_config(raw)
+        raise ConfigFileError(
+            f"{what} {path}: not valid YAML: {' '.join(str(exc).split())}") from None
+
+
+def load_config_file(path) -> dict:
+    return validate_config(_read_yaml(path, "config file"))
 
 
 def build_search_config(doc, seed=None, device_kind=None) -> SearchConfig:
@@ -238,11 +243,15 @@ def build_search_config(doc, seed=None, device_kind=None) -> SearchConfig:
     kind = device_kind or dv["kind"]
     try:
         if kind == "gpu_table":
-            if not dv["gpu_table_path"]:
+            path = dv["gpu_table_path"]
+            if not path:
                 raise ConfigFileError(
                     "device.gpu_table_path is required for kind gpu_table")
-            table = GpuLatencyTable.from_file(dv["gpu_table_path"])
-            device = DeviceModel.gpu(table)
+            try:
+                device = DeviceModel.gpu(GpuLatencyTable.from_mapping(
+                    _read_yaml(path, "latency table")))
+            except CostError as exc:
+                raise ConfigFileError(f"latency table {path}: {exc}") from None
         elif kind in ("fpga_recursive", "fpga_pipelined"):
             if dv["resource_bound"] is None:
                 raise ConfigFileError(
@@ -435,8 +444,13 @@ def curves_csv(report) -> str:
 # -- commands -----------------------------------------------------------------------
 
 def _out_dir(doc, override):
+    """The output directory, checked before the work; made when written."""
     path = override or os.environ.get(ENV_OUTPUT_DIR) or doc["output"]["directory"]
-    os.makedirs(path, exist_ok=True)
+    head = path  # the nearest part of it that exists
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigFileError(f"output directory {path}: {head} is not a directory")
     return path
 
 
@@ -463,13 +477,14 @@ def cmd_search(args) -> int:
         raise ConfigFileError(f"--workers must be >= 1, got {args.workers}")
     configs = [build_search_config(doc, seed=s, device_kind=args.device)
                for s in seeds]
+    out = _out_dir(doc, args.output)
     dataset = datamod.generate_dataset(configs[0].data)
 
     reports = map_workers(lambda c: run_search(c, dataset=dataset), configs,
                           args.workers)
 
     # only now: a config error or an infeasible budget leaves no directory
-    out = _out_dir(doc, args.output)
+    os.makedirs(out, exist_ok=True)
     status = EXIT_OK
     summary = []
     for config, report in zip(configs, reports):
@@ -512,12 +527,14 @@ def cmd_search(args) -> int:
 def cmd_enumerate(args) -> int:
     doc = load_config_file(args.config)
     config = build_search_config(doc, device_kind=args.device)
+    out = _out_dir(doc, args.output)
     protocol = oraclemod.OracleProtocol(
         train_steps=args.train_steps, seed=args.protocol_seed, cap=args.cap,
         workers=args.workers, retune_steps=config.retune_steps,
         retune_lr=config.retune_lr)
     ranking = oraclemod.rank_configs(config, protocol)
-    path = os.path.join(_out_dir(doc, args.output), "ranking.json")
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, "ranking.json")
     write_json(path, ranking_document(ranking))
     print(f"{len(ranking.entries)} configurations ranked -> {path}")
     for e in ranking.entries[:5]:
@@ -531,6 +548,7 @@ def cmd_eval(args) -> int:
     doc = load_config_file(args.config)
     config = build_search_config(doc, device_kind=args.device)
     design = read_json(args.design, design_from_document)
+    out = _out_dir(doc, args.output)
     if design.device_kind != config.device.kind:
         raise ConfigFileError(f"design is for device {design.device_kind}, "
                               f"not {config.device.kind}")
@@ -550,7 +568,7 @@ def cmd_eval(args) -> int:
         "val_loss": metrics["val_loss"],
         "predicted": design.predicted,
     }
-    out = _out_dir(doc, args.output)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "eval.json")
     write_json(path, result)
     print(f"val accuracy  {metrics['val_accuracy']:.4f}")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from . import tensorcore as tc
 from .supernet import OpSpec, SearchSpace
@@ -129,20 +128,12 @@ class GpuLatencyTable:
 
     @classmethod
     def from_mapping(cls, mapping):
-        entries = {}
-        for m, per_q in mapping.items():
-            for q, v in per_q.items():
-                entries[(int(m), int(q))] = float(v)
-        return cls(entries)
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as fh:
-            mapping = yaml.safe_load(fh)
-        if not isinstance(mapping, dict):
-            raise CostError(f"latency table {path}: expected a mapping of "
-                            f"op index -> bit-width -> latency")
-        return cls.from_mapping(mapping)
+        try:
+            return cls({(m, q): v for m, per_q in mapping.items()
+                        for q, v in per_q.items()})
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise CostError("expected a mapping of op index -> bit-width -> "
+                            f"latency: {exc}") from None
 
     def to_mapping(self):
         out = {}

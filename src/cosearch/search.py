@@ -52,14 +52,14 @@ def _grad_norm2(grad, owner):
 
 class SGD:
     """Momentum SGD with global-norm clipping over one flat buffer of all
-    its parameters (see tc.FlatParameters): one update per step."""
+    its parameters (see tc.FlatParameters): one update per step.  The clip
+    reads the norm of that buffer, one dot over every gradient entry."""
 
     def __init__(self, params, lr, momentum=0.0, clip_norm=5.0):
-        self.params = list(params)
         self.lr = lr
         self.momentum = momentum
         self.clip_norm = clip_norm
-        self._flat = tc.FlatParameters(self.params)
+        self._flat = tc.FlatParameters(list(params))
         self._vel = np.zeros_like(self._flat.values)
 
     def zero_grad(self):
@@ -69,14 +69,8 @@ class SGD:
         scale = 1.0
         grad = self._flat.grad
         norm = math.sqrt(_grad_norm2(grad, "SGD"))
-        if self.clip_norm is not None and not (
-                norm < self.clip_norm * (1 - 1e-9)):
-            # At or near the clip the per-parameter sums decide, so the
-            # scale has the bits that summing array by array gives.
-            total = math.sqrt(sum(float((p.grad ** 2).sum())
-                                  for p in self.params))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
+        if self.clip_norm is not None and norm > self.clip_norm:
+            scale = self.clip_norm / norm
         # A new velocity each step, not an in-place update: allocated while
         # the activations are live, it holds the heap top, so glibc does not
         # hand their memory back after every phase and fault it in again
@@ -90,10 +84,9 @@ class Adam:
     update per step gives the bits of one update per parameter."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._flat = tc.FlatParameters(self.params)
+        self._flat = tc.FlatParameters(list(params))
         self._m = np.zeros_like(self._flat.values)
         self._v = np.zeros_like(self._flat.values)
         self._t = 0

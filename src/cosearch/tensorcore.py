@@ -24,9 +24,6 @@ LN2 = math.log(2.0)
 # across all k*k taps.
 _DW_TILE_BYTES = 1024 * 1024
 
-# Longest run that numpy's pairwise_sum adds as one leaf.
-_PW_LEAF = 128
-
 # Start of the depthwise tap buffers: one cache line.  With B a multiple of
 # 8, every tap run then starts on a line, wherever malloc put the buffer.
 _DW_ALIGN = 64
@@ -461,60 +458,6 @@ def conv2d(x, weight):
     return _make(out, (x, weight), grad_fn, "conv2d")
 
 
-def _pairwise_half(n):
-    half = n // 2
-    return half - half % 8
-
-
-def _stage_width(n):
-    """How many values _pairwise_stage keeps of a run of n."""
-    if n > _PW_LEAF:
-        half = _pairwise_half(n)
-        return _stage_width(half) + _stage_width(n - half)
-    return n if n < 8 else 8 + n % 8
-
-
-def _pairwise_stage(a, out):
-    """First stage of numpy's pairwise sum over axis -2 of a (..., n, L):
-    per leaf, its eight accumulators and then its n % 8 tail, written into
-    out (..., _stage_width(n), L).  A run below 8 is copied as it is."""
-    n = a.shape[-2]
-    if n > _PW_LEAF:
-        half = _pairwise_half(n)
-        w = _stage_width(half)
-        _pairwise_stage(a[..., :half, :], out[..., :w, :])
-        _pairwise_stage(a[..., half:, :], out[..., w:, :])
-    elif n < 8:
-        out[...] = a
-    else:
-        m = n - n % 8
-        # accumulator j adds values j, j + 8, j + 16, ... in order
-        blocks = a[..., :m, :].reshape(a.shape[:-2] + (m // 8, 8, a.shape[-1]))
-        np.sum(blocks, axis=-3, out=out[..., :8, :])
-        out[..., 8:, :] = a[..., m:, :]
-
-
-def _pairwise_finish(s, n):
-    """Sum over axis -2 of n values staged by _pairwise_stage, in the order
-    of numpy's pairwise_sum: the eight accumulators pairwise, then the tail
-    in order; below 8 values, in order from 0.0; halves added up the
-    recursion."""
-    if n > _PW_LEAF:
-        half = _pairwise_half(n)
-        w = _stage_width(half)
-        return (_pairwise_finish(s[..., :w, :], half)
-                + _pairwise_finish(s[..., w:, :], n - half))
-    if n < 8:
-        res, tail = np.zeros(s.shape[:-2] + s.shape[-1:]), range(n)
-    else:
-        r = [s[..., j, :] for j in range(8)]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        tail = range(8, 8 + n % 8)
-    for i in tail:
-        res += s[..., i, :]
-    return res
-
-
 def _aligned_empty(shape):
     """np.empty(shape) whose data starts on a _DW_ALIGN-byte boundary.
 
@@ -533,9 +476,9 @@ def depthwise_conv2d(x, weight, stride=1):
     The taps run on a zero-padded (C, H, W, B) copy of x, batch innermost,
     so a tap's window is one run of wo*B contiguous values per row (B at
     stride 2).  Each output and input-gradient element adds its taps in
-    (di, dj) order from 0.0, and the weight gradient adds in numpy's
-    `(x_window * g).sum(axis=(0, 2, 3))` order, so the layout changes no
-    bits.
+    (di, dj) order from 0.0.  Each weight-gradient entry is numpy's
+    pairwise sum of its tap's product over one channel's (ho, wo, B) run,
+    batch innermost.
     """
     if x.values.ndim != 4 or weight.values.ndim != 3:
         raise ShapeError(
@@ -580,15 +523,12 @@ def depthwise_conv2d(x, weight, stride=1):
     kept_xt = xt if weight.requires_grad else None  # only dw reads it
 
     def grad_fn(g):
-        n = ho * wo
         dx = np.empty((b, c, h, w)) if need_x else None
         dw = None if kept_xt is None else np.empty((k * k, c))
         # a tile of g, transposed once and read by both gradients
         gt = _aligned_empty((tile, ho, wo, b))
         buf = _aligned_empty(gt.shape)
         dxt = _aligned_empty((tile, hp, wp, b)) if need_x else None
-        if dw is not None and c > 1:
-            stage = _aligned_empty((k * k, tile, _stage_width(n), b))
         for lo in range(0, c, tile):
             ch = slice(lo, lo + tile)
             gs, p = gt[:c - lo], buf[:c - lo]
@@ -599,25 +539,11 @@ def depthwise_conv2d(x, weight, stride=1):
                 for _, w_tap, rows, cols in taps:
                     d[:, rows, cols] += np.multiply(w_tap[ch], gs, out=p)
                 dx[:, ch] = d[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
-            if dw is None:
-                continue
-            if c == 1:
-                # numpy sums a lone channel's batch and window as one run
+            if dw is not None:
+                # numpy's pairwise sum of each channel's (ho, wo, B) run
                 for t, _, rows, cols in taps:
-                    prod = np.multiply(kept_xt[:, rows, cols], gs, out=p)
-                    dw[t] = np.ascontiguousarray(
-                        prod.transpose(3, 0, 1, 2)).sum(axis=(0, 2, 3))
-                continue
-            # numpy's sum over (0, 2, 3) adds each (sample, channel) window
-            # pairwise, then the samples in order from +0.0.  Each tap's
-            # windows are staged; all taps of the tile finish at once.
-            s = stage[:, :c - lo]
-            for t, _, rows, cols in taps:
-                prod = np.multiply(kept_xt[ch, rows, cols], gs, out=p)
-                _pairwise_stage(prod.reshape(-1, n, b), s[t])
-            # cumsum adds the samples in order from the first, not from
-            # numpy's +0.0; same bits, as no staged sum is -0.0
-            dw[:, ch] = np.cumsum(_pairwise_finish(s, n), axis=-1)[..., -1]
+                    prod = np.multiply(kept_xt[ch, rows, cols], gs, out=p)
+                    dw[t, ch] = prod.reshape(len(prod), -1).sum(axis=1)
         return dx, None if dw is None else dw.T.reshape(w_shape)
     return _make(out, (x, weight), grad_fn, "depthwise_conv2d")
 

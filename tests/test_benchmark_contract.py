@@ -4,7 +4,9 @@
 every field it pins, the functions it calls and the result fields it
 reads.  Running each workload once at its tiny size here makes a library
 change that breaks one of those names fail the test suite, before a
-benchmark run finds it.  Nothing under `perfbench/` is changed.
+benchmark run finds it.  One traced run does the same for the layer
+tracer, which wraps every public function of every layer.  Nothing under
+`perfbench/` is changed.
 """
 
 import importlib.util
@@ -39,3 +41,21 @@ def test_workload_records_no_problem(worker, name, tmp_path):
     worker.run_workload(name, 1, "tiny", 1, False, ledger, str(tmp_path))
     assert ledger.attempted > 0
     assert ledger.problems == []
+
+
+def test_traced_workload_records_no_problem(worker, tmp_path):
+    """`perfbench --trace 1` wraps every public function of every layer: a
+    public tensorcore function that returns no Tensor, say, breaks every
+    traced run."""
+    tracer = worker.layertrace.Tracer()
+    tracer.install({layer: getattr(worker, layer)
+                    for layer in worker.layertrace.LAYERS})
+    try:
+        ledger = worker.Ledger(tracer)
+        worker.run_workload("wide_space", 1, "tiny", 1, False, ledger,
+                            str(tmp_path))
+    finally:
+        tracer.uninstall()
+    assert ledger.attempted > 0
+    assert ledger.problems == []
+    assert tracer.check_spans() == []

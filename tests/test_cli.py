@@ -353,8 +353,9 @@ class TestRefusedInput:
 
 
 class TestBadInputFile:
-    """A JSON input that `eval` or `compare` cannot read, or that lacks a
-    key they need, exits 1 with one line naming the file and the key."""
+    """An input file that a command cannot read, or that lacks a key it
+    needs, exits 1 with one line naming the file (and the key), before any
+    search runs."""
 
     @pytest.mark.parametrize("command, text, named", [
         ("eval", None, "cannot read"),
@@ -363,15 +364,42 @@ class TestBadInputFile:
         ("eval", '{"blocks": [{"op_index": 0}]}',
          "missing key 'parallel_factor'"),
         ("compare", "{}", "missing key 'config_hash'"),
+        ("config", "directory", "cannot read config file"),
+        ("config", b"search:\n  epochs: 2\n# caf\xe9\n", "not valid YAML"),
+        ("table", None, "cannot read latency table"),
+        ("table", "{0: {8: 1.0", "not valid YAML"),
+        ("table", "{conv: {8: 1.0}}", "op index -> bit-width -> latency"),
+        ("output", "a file", "is not a directory"),
+        ("output-below", "a file", "is not a directory"),
     ], ids=["eval-missing-file", "eval-invalid-json", "eval-no-blocks",
-            "eval-no-parallel-factor", "compare-no-config-hash"])
+            "eval-no-parallel-factor", "compare-no-config-hash",
+            "config-is-a-directory", "config-not-utf8", "table-missing-file",
+            "table-invalid-yaml", "table-non-integer-key", "output-is-a-file",
+            "output-below-a-file"])
     def test_exits_1_naming_file_and_key(self, small_cfg, tmp_path, capsys,
-                                         command, text, named):
+                                         monkeypatch, command, text, named):
         path = tmp_path / "input.json"
-        if text is not None:
+        if text == "directory":
+            path.mkdir()
+        elif isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
-        argv = (["eval", "-c", small_cfg, str(path)] if command == "eval"
-                else ["compare", str(path), str(path)])
+        gpu_cfg = tmp_path / "gpu.yaml"
+        gpu_cfg.write_text(Path(small_cfg).read_text().replace(
+            "kind: fpga_recursive", f"kind: gpu_table\n  gpu_table_path: {path}"))
+        argv = {"eval": ["eval", "-c", small_cfg, str(path)],
+                "compare": ["compare", str(path), str(path)],
+                "config": ["search", "-c", str(path)],
+                "table": ["search", "-c", str(gpu_cfg)],
+                "output": ["search", "-c", small_cfg, "--output", str(path)],
+                "output-below": ["search", "-c", small_cfg,
+                                 "--output", str(path / "o")],
+                }[command]
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+        monkeypatch.setattr(cli, "run_search", no_search)
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err, err

