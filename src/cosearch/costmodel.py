@@ -103,7 +103,13 @@ class GpuLatencyTable:
     """Measured normalized latencies keyed by (op menu index, bit-width)."""
 
     def __init__(self, entries):
-        self.entries = {(int(m), int(q)): float(v) for (m, q), v in entries.items()}
+        for m, q in entries:
+            # int() would price op 1 under a key 1.7, or True, silently
+            if type(m) is not int or type(q) is not int:
+                raise CostError(
+                    "op index -> bit-width -> latency needs integer keys, "
+                    f"got op {m!r} at bit-width {q!r}")
+        self.entries = {key: float(v) for key, v in entries.items()}
 
     def lookup(self, op_index, bit_width) -> float:
         try:

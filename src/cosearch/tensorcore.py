@@ -19,16 +19,6 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-# Bytes of one depthwise channel tile over the whole batch (padded input,
-# output and product buffer): small enough that a tile stays in cache
-# across all k*k taps.
-_DW_TILE_BYTES = 1024 * 1024
-
-# Start of the depthwise tap buffers: one cache line.  With B a multiple of
-# 8, every tap run then starts on a line, wherever malloc put the buffer.
-_DW_ALIGN = 64
-
-
 class TensorError(Exception):
     pass
 
@@ -458,27 +448,45 @@ def conv2d(x, weight):
     return _make(out, (x, weight), grad_fn, "conv2d")
 
 
-def _aligned_empty(shape):
-    """np.empty(shape) whose data starts on a _DW_ALIGN-byte boundary.
+def _taps(a, top, left, rows, cols, kh, kw, stride, step):
+    """Read-only (C, kh, kw, rows, cols, B) view of the tap windows of a
+    contiguous (C, H, W, B) array a: [c, i, j, y, x] reads
+    a[c, top + stride*y + step*i, left + stride*x + step*j].  numpy refuses
+    a view that reaches outside a's buffer.  (With as_strided instead, a
+    wide-space search ended holding about 0.9 MB more heap.)"""
+    sc, sh, sw, sb = a.strides
+    v = np.ndarray((a.shape[0], kh, kw, rows, cols, a.shape[3]), a.dtype, a,
+                   top * sh + left * sw,
+                   (sc, step * sh, step * sw, stride * sh, stride * sw, sb))
+    v.flags.writeable = False
+    return v
 
-    malloc only promises 16 bytes, and where a buffer lands depends on the
-    process's earlier allocations (its paths and environment among them);
-    a tap loop over runs that straddle cache lines ran about 30% slower."""
-    n = math.prod(shape)
-    raw = np.empty(n + _DW_ALIGN // 8 - 1)
-    lo = (-raw.ctypes.data % _DW_ALIGN) // 8
-    return raw[lo:lo + n].reshape(shape)
+
+def _tap_sum(a, top, left, wv, rows, cols, stride, step):
+    """(C, rows, cols, B): the windows of _taps(a, ...) times their weight
+    taps wv (C, kh, kw), each element adding its taps in (i, j) order from
+    0.0."""
+    v = _taps(a, top, left, rows, cols, wv.shape[1], wv.shape[2], stride, step)
+    if stride == 1:
+        # a tap's row is then one run of cols*B values, which einsum takes
+        # as one inner loop: about 3x faster than B values at a time
+        v = v.reshape(v.shape[:4] + (cols * a.shape[3],))
+    return np.einsum("cij...,cij->c...", v, wv).reshape(
+        a.shape[0], rows, cols, a.shape[3])
 
 
 def depthwise_conv2d(x, weight, stride=1):
     """Same-padding depthwise conv; x (B,C,H,W), weight (C,k,k).
 
-    The taps run on a zero-padded (C, H, W, B) copy of x, batch innermost,
-    so a tap's window is one run of wo*B contiguous values per row (B at
-    stride 2).  Each output and input-gradient element adds its taps in
-    (di, dj) order from 0.0.  Each weight-gradient entry is numpy's
-    pairwise sum of its tap's product over one channel's (ho, wo, B) run,
-    batch innermost.
+    Each pass is one np.einsum over a strided tap view of a zero-padded
+    (C, H, W, B) array, batch innermost.  einsum adds each output and
+    input-gradient element's taps in (di, dj) order from 0.0, like a
+    per-tap loop: the input gradient reads a padded g through negative tap
+    strides, one einsum per output parity class at stride 2, and its
+    padding adds only +-0.0.  With one sample, numpy's iterator drops the
+    batch axis and sums the taps in another order, so those two passes run
+    on a zero second sample.  The weight gradient is einsum's own sum over
+    (ho, wo, B) of the same padded x and g, an order fixed by the shapes.
     """
     if x.values.ndim != 4 or weight.values.ndim != 3:
         raise ShapeError(
@@ -492,59 +500,42 @@ def depthwise_conv2d(x, weight, stride=1):
             f"depthwise_conv2d: input has {x.values.shape[1]} channels, weight has {c}")
     pad = k // 2
     b, _, h, w = x.values.shape
+    bq = max(b, 2)
     ho = (h - 1) // stride + 1
     wo = (w - 1) // stride + 1
-    hp, wp = h + 2 * pad, w + 2 * pad
+    wv = weight.values
+    # results first, so that the temporaries are freed from the heap top
     out = np.empty((b, c, ho, wo))
-    xt = _aligned_empty((c, hp, wp, b))
-    xt.fill(0.0)
-    xt[:, pad:pad + h, pad:pad + w] = x.values.transpose(1, 2, 3, 0)
-    # (tap index, weight column, output-window rows, columns) per tap
-    taps = [(di * k + dj, weight.values[:, di, dj, None, None, None],
-             slice(di, di + stride * ho, stride),
-             slice(dj, dj + stride * wo, stride))
-            for di in range(k) for dj in range(k)]
-    # Channel tiles sized to _DW_TILE_BYTES keep a tile's input, output and
-    # product buffer in cache across all taps.  One accumulator and one
-    # product buffer serve every tile.
-    tile = min(c, max(1, _DW_TILE_BYTES // (8 * b * (hp * wp + 2 * ho * wo))))
-    acc = _aligned_empty((tile, ho, wo, b))
-    buf = _aligned_empty(acc.shape)
-    for lo in range(0, c, tile):
-        ch = slice(lo, lo + tile)
-        o, p = acc[:c - lo], buf[:c - lo]
-        o.fill(0.0)
-        for _, w_tap, rows, cols in taps:
-            o += np.multiply(w_tap[ch], xt[ch, rows, cols], out=p)
-        out[:, ch] = o.transpose(3, 0, 1, 2)
+    xt = np.zeros((c, h + 2 * pad, w + 2 * pad, bq))
+    xt[:, pad:pad + h, pad:pad + w, :b] = x.values.transpose(1, 2, 3, 0)
+    out[...] = _tap_sum(xt, 0, 0, wv, ho, wo, stride, 1)[..., :b].transpose(
+        3, 0, 1, 2)
 
     need_x = x.requires_grad
-    w_shape = weight.values.shape
     kept_xt = xt if weight.requires_grad else None  # only dw reads it
 
     def grad_fn(g):
         dx = np.empty((b, c, h, w)) if need_x else None
-        dw = None if kept_xt is None else np.empty((k * k, c))
-        # a tile of g, transposed once and read by both gradients
-        gt = _aligned_empty((tile, ho, wo, b))
-        buf = _aligned_empty(gt.shape)
-        dxt = _aligned_empty((tile, hp, wp, b)) if need_x else None
-        for lo in range(0, c, tile):
-            ch = slice(lo, lo + tile)
-            gs, p = gt[:c - lo], buf[:c - lo]
-            gs[...] = g[:, ch].transpose(1, 2, 3, 0)
-            if need_x:
-                d = dxt[:c - lo]
-                d.fill(0.0)
-                for _, w_tap, rows, cols in taps:
-                    d[:, rows, cols] += np.multiply(w_tap[ch], gs, out=p)
-                dx[:, ch] = d[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
-            if dw is not None:
-                # numpy's pairwise sum of each channel's (ho, wo, B) run
-                for t, _, rows, cols in taps:
-                    prod = np.multiply(kept_xt[ch, rows, cols], gs, out=p)
-                    dw[t, ch] = prod.reshape(len(prod), -1).sum(axis=1)
-        return dx, None if dw is None else dw.T.reshape(w_shape)
+        # g, batch innermost, with `pad` zeros around each image
+        gp = np.zeros((c, ho + 2 * pad, wo + 2 * pad, bq))
+        gp[:, pad:pad + ho, pad:pad + wo, :b] = g.transpose(1, 2, 3, 0)
+        if need_x:
+            # taps di = d0, d0 + stride, ... reach rows py, py + stride, ...
+            for py in range(stride):
+                d0 = (py + pad) % stride
+                for px in range(stride):
+                    e0 = (px + pad) % stride
+                    d = _tap_sum(gp, (py + pad - d0) // stride + pad,
+                                 (px + pad - e0) // stride + pad,
+                                 wv[:, d0::stride, e0::stride],
+                                 len(range(py, h, stride)),
+                                 len(range(px, w, stride)), 1, -1)
+                    dx[:, :, py::stride, px::stride] = d[..., :b].transpose(3, 0, 1, 2)
+                    del d
+        dw = None if kept_xt is None else np.einsum(
+            "cijhwb,chwb->cij", _taps(kept_xt, 0, 0, ho, wo, k, k, stride, 1),
+            gp[:, pad:pad + ho, pad:pad + wo])
+        return dx, dw
     return _make(out, (x, weight), grad_fn, "depthwise_conv2d")
 
 

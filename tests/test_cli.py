@@ -369,12 +369,15 @@ class TestBadInputFile:
         ("table", None, "cannot read latency table"),
         ("table", "{0: {8: 1.0", "not valid YAML"),
         ("table", "{conv: {8: 1.0}}", "op index -> bit-width -> latency"),
+        ("table", "{0: {8: 1.0}, 1.7: {8: 3.0}}", "got op 1.7 at bit-width 8"),
+        ("table", "{0: {8: 1.0}, true: {8: 9.0}}", "got op True at bit-width 8"),
         ("output", "a file", "is not a directory"),
         ("output-below", "a file", "is not a directory"),
     ], ids=["eval-missing-file", "eval-invalid-json", "eval-no-blocks",
             "eval-no-parallel-factor", "compare-no-config-hash",
             "config-is-a-directory", "config-not-utf8", "table-missing-file",
-            "table-invalid-yaml", "table-non-integer-key", "output-is-a-file",
+            "table-invalid-yaml", "table-non-integer-key", "table-float-key",
+            "table-bool-key", "output-is-a-file",
             "output-below-a-file"])
     def test_exits_1_naming_file_and_key(self, small_cfg, tmp_path, capsys,
                                          monkeypatch, command, text, named):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -311,6 +312,18 @@ class TestGpuTable:
                                for m in range(2) for q in (8, 16)})
         with pytest.raises(CostError, match="positive"):
             bad.validate(2, (8, 16))
+
+    @pytest.mark.parametrize("mapping, named", [
+        ({0: {8: 1.0}, 1.7: {8: 3.0}}, "op 1.7 at bit-width 8"),
+        ({0: {8: 1.0}, True: {8: 9.0}}, "op True at bit-width 8"),
+        ({0: {8.0: 1.0}}, "op 0 at bit-width 8.0"),
+        ({0: {False: 1.0}}, "op 0 at bit-width False"),
+        ({np.int64(0): {8: 1.0}}, "op np.int64(0) at bit-width 8")])
+    def test_non_integer_keys_refused(self, mapping, named):
+        # int() would price op 1 under 1.7, and True would overwrite it
+        with pytest.raises(CostError,
+                           match=re.escape(f"integer keys, got {named}") + "$"):
+            GpuLatencyTable.from_mapping(mapping)
 
     def test_mapping_roundtrip(self):
         space = fpga_space(quant=QuantLevels((8, 16)))

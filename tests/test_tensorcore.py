@@ -540,19 +540,31 @@ def reference_depthwise(x, weight, stride, g):
     return out, dxp[:, :, pad:pad + h, pad:pad + w], dw
 
 
+def einsum_weight_gradient(x, k, stride, g):
+    """d/dweight as depthwise_conv2d defines it: one einsum over the tap
+    windows (built here with sliding_window_view) of the input, batch
+    innermost, zero-padded to (C, H, W, max(B, 2)), against g padded the
+    same way."""
+    pad, b = k // 2, x.shape[0]
+    sizes = ((0, 0), (pad, pad), (pad, pad), (0, max(b, 2) - b))
+    xt, gt = (np.pad(np.ascontiguousarray(a.transpose(1, 2, 3, 0)), sizes)
+              for a in (x, g))
+    win = np.lib.stride_tricks.sliding_window_view(xt, (k, k), axis=(1, 2))
+    taps = win[:, ::stride, ::stride].transpose(0, 4, 5, 1, 2, 3)
+    return np.einsum("cijhwb,chwb->cij", taps,
+                     gt[:, pad:pad + g.shape[2], pad:pad + g.shape[3]])
+
+
 @st.composite
 def depthwise_cases(draw):
-    # ho*wo*b reaches every regime of numpy's pairwise sum: below 8 values,
-    # one leaf of 8..128, and leaves split in halves above 128
+    # b = 1 is its own case: numpy's iterator drops a size-1 batch axis
     b, c = draw(st.integers(1, 40)), draw(st.integers(1, 8))
     h, w = draw(st.integers(1, 18)), draw(st.integers(1, 18))
     k = draw(st.sampled_from((1, 3, 5, 7)))
     stride = draw(st.sampled_from((1, 2)))
     held = draw(st.sampled_from(((), (0,), (1,))))
-    # channels per tile: one, a remainder tile, or all of them
-    per_tile = draw(st.integers(1, c))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    return (b, c, h, w, k, stride), held, per_tile, rng
+    return (b, c, h, w, k, stride), held, rng
 
 
 def assert_same_bits(got, want):
@@ -561,61 +573,98 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def depthwise_pass(x, weight, stride, g, held=()):
+    """depthwise_conv2d's output and its two gradients for the output
+    gradient g; None for the held (constant) inputs."""
+    with Tape() as tape:
+        out = tc.depthwise_conv2d(
+            *[Tensor(v) if i in held else Parameter(v)
+              for i, v in enumerate((x, weight))], stride=stride)
+    (_, _, grad_fn), = tape._entries
+    return (out.values, *grad_fn(g))
+
+
+def depthwise_inputs(shape, rng):
+    b, c, h, w, k, stride = shape
+    x, weight = rng.normal(size=(b, c, h, w)), rng.normal(size=(c, k, k))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    return x, weight, rng.normal(size=(b, c, ho, wo))
+
+
+def at_offset(shape, offset):
+    """Empty float64 array whose data starts `offset` bytes past a 64-byte
+    cache line."""
+    n = math.prod(shape)
+    raw = np.empty(n + 16)
+    lo = (-raw.ctypes.data % 64 + offset) // 8
+    return raw[lo:lo + n].reshape(shape)
+
+
 class TestDepthwiseReference:
-    def check(self, shape, held, per_tile, rng):
+    def check(self, shape, held, rng):
         b, c, h, w, k, stride = shape
-        x, weight = rng.normal(size=(b, c, h, w)), rng.normal(size=(c, k, k))
-        x[rng.random(x.shape) < 0.1] = -0.0
+        x, weight, g = depthwise_inputs(shape, rng)
         pad = k // 2
         assert np.array_equal(tc._pad_hw(x, pad), np.pad(
             x, ((0, 0), (0, 0), (pad, pad), (pad, pad))))
-        ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-        g = rng.normal(size=(b, c, ho, wo))
         want = reference_depthwise(x, weight, stride, g)
-        # the byte budget of `per_tile` channels: padded input, output and
-        # product buffer over the batch
-        channel_bytes = 8 * b * ((h + 2 * pad) * (w + 2 * pad) + 2 * ho * wo)
-        with mock.patch.object(tc, "_DW_TILE_BYTES", per_tile * channel_bytes):
-            with Tape() as tape:
-                out = tc.depthwise_conv2d(
-                    *[Tensor(v) if i in held else Parameter(v)
-                      for i, v in enumerate((x, weight))], stride=stride)
-            (_, _, grad_fn), = tape._entries
-            grads = grad_fn(g)
-        assert_same_bits(out.values, want[0])
-        for i, got in enumerate(grads):
-            if i in held:
-                assert got is None
-            else:
-                assert_same_bits(got, want[i + 1])
+        out, dx, dw = depthwise_pass(x, weight, stride, g, held)
+        assert_same_bits(out, want[0])
+        if 0 in held:
+            assert dx is None
+        else:
+            assert_same_bits(dx, want[1])
+        if 1 in held:
+            assert dw is None
+        else:
+            # einsum's own order, not the per-tap pairwise sums: close to
+            # them relative to the sum of the products' magnitudes
+            assert_same_bits(dw, einsum_weight_gradient(x, k, stride, g))
+            scale = einsum_weight_gradient(abs(x), k, stride, abs(g))
+            assert np.all(abs(dw - want[2]) <= 1e-12 * scale)
 
     @settings(max_examples=300, deadline=None)
     @given(depthwise_cases())
     def test_bitwise_equal_to_per_tap_loop(self, case):
         self.check(*case)
 
-    # runs of thousands of values (many leaves), desk-sized tiles, and a
-    # lone channel
-    @pytest.mark.parametrize("shape, per_tile", [
-        ((32, 6, 12, 12, 3, 1), 4),
-        ((32, 8, 16, 16, 5, 1), 3),
-        ((32, 8, 16, 16, 5, 2), 8),
-        ((24, 1, 16, 16, 3, 1), 1),
-        ((9, 2, 18, 17, 7, 1), 1),
+    # runs of thousands of values and a lone channel
+    @pytest.mark.parametrize("shape", [
+        (32, 6, 12, 12, 3, 1),
+        (32, 8, 16, 16, 5, 1),
+        (32, 8, 16, 16, 5, 2),
+        (24, 1, 16, 16, 3, 1),
+        (9, 2, 18, 17, 7, 1),
+        (1, 3, 16, 16, 5, 2),
     ])
-    def test_bitwise_equal_at_large_windows(self, shape, per_tile):
-        self.check(shape, (), per_tile, np.random.default_rng(sum(shape)))
+    def test_bitwise_equal_at_large_windows(self, shape):
+        self.check(shape, (), np.random.default_rng(sum(shape)))
 
-    def test_tap_buffers_start_on_a_cache_line(self):
-        """Wherever malloc puts them: tap runs straddling cache lines made
-        the loop about 30% slower, so its speed followed the heap."""
-        spacers = []
-        for n in range(1, 20):
-            spacers.append(np.empty(n))  # moves where the next buffer lands
-            for shape in [(3, 5, 7, 8), (1,), (49, 32, 8, 8)]:
-                a = tc._aligned_empty(shape)
-                assert a.ctypes.data % tc._DW_ALIGN == 0
-                assert a.shape == shape and a.flags.c_contiguous
+    @pytest.mark.parametrize("shape", [
+        (32, 8, 16, 16, 5, 1), (32, 8, 16, 16, 3, 2), (1, 4, 9, 9, 3, 1)])
+    def test_same_bits_wherever_the_buffers_start(self, shape):
+        """einsum's order follows the shapes alone: every result keeps its
+        bits on a repeated call and with x, g and the kernel's own padded
+        buffers 8..56 bytes past a cache line."""
+        x, weight, g = depthwise_inputs(shape, np.random.default_rng(3))
+        want = depthwise_pass(x, weight, shape[-1], g)
+        assert_same_bits(depthwise_pass(x, weight, shape[-1], g)[2], want[2])
+
+        def zeros_at(offset):
+            def zeros(shape):
+                a = at_offset(shape, offset)
+                a.fill(0.0)
+                return a
+            return zeros
+
+        for offset in range(8, 64, 8):
+            xo, go = at_offset(x.shape, offset), at_offset(g.shape, offset)
+            xo[...], go[...] = x, g
+            with mock.patch.object(tc.np, "zeros", zeros_at(offset)):
+                got = depthwise_pass(xo, weight, shape[-1], go)
+            for a, b in zip(got, want):
+                assert_same_bits(a, b)
 
 
 # Ops of the random graphs below: each maps two (2, 3) tensors to one.
