@@ -118,7 +118,7 @@ _SCHEMA = {
     },
     "output": {
         "directory": (str, "runs", "where reports/designs/rankings go"),
-        "formats": ("str_list", ["json", "csv"],
+        "formats": (("json", "csv"), ["json", "csv"],
                     "emit json (always canonical) and/or csv curves"),
     },
 }
@@ -176,10 +176,14 @@ def _check_type(path, value, kind):
         if not isinstance(value, list) or not value:
             fail("a non-empty list of numbers")
         return [_check_type(f"{path}[{i}]", v, float) for i, v in enumerate(value)]
-    if kind == "str_list":
+    if isinstance(kind, tuple):  # a list of names from this menu
         if not isinstance(value, list):
-            fail("a list of strings")
-        return [_check_type(f"{path}[{i}]", v, str) for i, v in enumerate(value)]
+            fail(f"a list of {' or '.join(kind)}")
+        for i, v in enumerate(value):
+            if v not in kind:
+                raise ConfigFileError(f"{path}[{i}]: expected one of "
+                                      f"{', '.join(kind)}, got {v!r}")
+        return value
     raise AssertionError(kind)
 
 
@@ -377,13 +381,22 @@ def design_document(design: DerivedDesign, space: SearchSpace, chash) -> dict:
 
 
 def design_from_document(doc) -> DerivedDesign:
-    blocks = doc["blocks"]
-    pfs = [b["parallel_factor"] for b in blocks]
+    fields = {"parallel_factor": [], "op_index": [], "bit_width": []}
+    for i, block in enumerate(doc["blocks"]):
+        for key, values in fields.items():
+            value = block[key]
+            # a bool is an int, and a float would index or price as one
+            if type(value) is not int and not (
+                    value is None and key == "parallel_factor"):
+                raise TypeError(f"block {i}: {key} must be an integer, "
+                                f"got {value!r}")
+            values.append(value)
+    pfs = fields["parallel_factor"]
     return DerivedDesign(
         device_kind=doc["device"],
-        op_indices=[b["op_index"] for b in blocks],
-        bit_widths=[b["bit_width"] for b in blocks],
-        parallel_factors=None if any(p is None for p in pfs) else pfs,
+        op_indices=fields["op_index"],
+        bit_widths=fields["bit_width"],
+        parallel_factors=None if None in pfs else pfs,
         shared_precision=doc["shared_precision"],
         predicted=dict(doc["predicted"]),
     )

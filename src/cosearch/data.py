@@ -91,11 +91,19 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
     return Dataset(images=images, labels=labels)
 
 
-def split(dataset: Dataset, fractions, seed: int):
-    """Stratified, disjoint, deterministic splits; fractions must sum to 1."""
+def check_fractions(fractions):
+    """The split fractions as floats: each must be > 0, and their sum
+    within 1e-9 of 1."""
     fractions = [float(f) for f in fractions]
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"split fractions must sum to 1, got {fractions}")
+    if not (all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
+        raise DataError(f"split fractions must each be > 0 and sum to 1, "
+                        f"got {fractions}")
+    return fractions
+
+
+def split(dataset: Dataset, fractions, seed: int):
+    """Stratified, disjoint, deterministic splits (see check_fractions)."""
+    fractions = check_fractions(fractions)
     rng = np.random.default_rng(seed)
     n_splits = len(fractions)
     buckets = [[] for _ in range(n_splits)]

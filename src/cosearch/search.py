@@ -147,6 +147,7 @@ class SearchConfig:
         if len(self.fractions) != 3:
             raise SearchError(f"fractions needs train, validation and test "
                               f"entries, got {list(self.fractions)}")
+        datamod.check_fractions(self.fractions)
         for name, least in (("epochs", 1), ("steps_per_epoch", 1),
                             ("batch_size", 1), ("retrain_epochs", 1),
                             ("retune_steps", 0), ("seed", 0)):

@@ -251,7 +251,8 @@ class Supernet:
     # -- forward passes --------------------------------------------------------
 
     def _stem(self, images):
-        x = tc.conv2d(Tensor(images), self.stem_w)
+        # (S, C, H, W) images to the (C, H, W, B) activations of every layer
+        x = tc.conv2d(Tensor(images.transpose(1, 2, 3, 0)), self.stem_w)
         return tc.affine_relu(x, self.stem_gamma, self.stem_beta)
 
     def _head(self, x):

@@ -391,61 +391,15 @@ def matmul(a, b):
     return _make(a_vals @ b_vals, (a, b), grad_fn, "matmul")
 
 
-# -- neural-net primitives ---------------------------------------------------
+# -- neural-net primitives on (C, H, W, B) activations, batch innermost -----
 
-def _pad_hw(x, pad):
-    """Copy of (B,C,H,W) x with `pad` zeros on each side of H and W."""
-    b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    return xp
-
-
-def _im2col(x, k):
-    """(B,C,H,W) -> patches (B,C,k,k,H,W) with same padding (k odd)."""
-    win = np.lib.stride_tricks.sliding_window_view(_pad_hw(x, k // 2), (k, k),
-                                                   axis=(2, 3))
-    # win: (B, C, H, W, k, k) -> (B, C, k, k, H, W)
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-
-
-def conv2d(x, weight):
-    """Same-padding stride-1 2-D convolution; x (B,C,H,W), weight
-    (Co,C,k,k).  The input gradient exists through a 1x1 kernel only: the
-    one k>1 conv is the stem, whose input is the images."""
-    if x.values.ndim != 4 or weight.values.ndim != 4:
-        raise ShapeError(
-            f"conv2d expects 4-D input/weight, got {x.values.shape} and "
-            f"{weight.values.shape}")
-    co, ci, k, k2 = weight.values.shape
-    if k != k2 or k % 2 == 0:
-        raise ShapeError(f"conv2d: kernel must be square and odd, got {k}x{k2}")
-    if x.values.shape[1] != ci:
-        raise ShapeError(
-            f"conv2d: input has {x.values.shape[1]} channels, weight expects {ci}")
-    if k > 1 and x.requires_grad:
-        raise ShapeError(f"conv2d: no input gradient through a {k}x{k} kernel")
-    b, _, h, w = x.values.shape
-    cols = x.values if k == 1 else _im2col(x.values, k)
-    cols_mat = cols.reshape(b, ci * k * k, h * w)
-    w_mat = weight.values.reshape(co, ci * k * k)
-    out = (w_mat @ cols_mat).reshape(b, co, h, w)
-    need_x = x.requires_grad
-    x_shape, w_shape = x.values.shape, weight.values.shape
-    kept_cols = cols_mat if weight.requires_grad else None  # only dw reads it
-
-    def grad_fn(g):
-        g_mat = g.reshape(b, co, h * w)
-        dx = dw = None
-        if kept_cols is not None:
-            # fold the batch into the contraction: one GEMM
-            g2 = g_mat.transpose(1, 0, 2).reshape(co, b * h * w)
-            c2 = kept_cols.transpose(1, 0, 2).reshape(ci * k * k, b * h * w)
-            dw = (g2 @ c2.T).reshape(w_shape)
-        if need_x:
-            dx = np.matmul(w_mat.T[None], g_mat).reshape(x_shape)
-        return dx, dw
-    return _make(out, (x, weight), grad_fn, "conv2d")
+def _padded(a, pad, b):
+    """Zeros (C, H + 2*pad, W + 2*pad, b) holding the (C, H, W, B <= b)
+    array a: `pad` zeros around each image, then b - B zero samples."""
+    c, h, w, n = a.shape
+    out = np.zeros((c, h + 2 * pad, w + 2 * pad, b))
+    out[:, pad:pad + h, pad:pad + w, :n] = a
+    return out
 
 
 def _taps(a, top, left, rows, cols, kh, kw, stride, step):
@@ -462,6 +416,50 @@ def _taps(a, top, left, rows, cols, kh, kw, stride, step):
     return v
 
 
+def _gemm(a, m):
+    """a @ m on m's columns zero-padded to a multiple of 16.  BLAS sums a
+    ragged last block of columns in another order (OpenBLAS on x86: one to
+    four), so a sample's bits would otherwise follow the batch size."""
+    n = m.shape[1]
+    if n % 16:
+        m = np.concatenate((m, np.zeros((m.shape[0], -n % 16))), axis=1)
+    return (a @ m)[:, :n]
+
+
+def conv2d(x, weight):
+    """Same-padding stride-1 2-D convolution; x (C,H,W,B), weight
+    (Co,C,k,k), as one GEMM over the whole batch.  The input gradient
+    exists through a 1x1 kernel only: the one k>1 conv is the stem, whose
+    input is the images."""
+    if x.values.ndim != 4 or weight.values.ndim != 4:
+        raise ShapeError(
+            f"conv2d expects 4-D input/weight, got {x.values.shape} and "
+            f"{weight.values.shape}")
+    co, ci, k, k2 = weight.values.shape
+    if k != k2 or k % 2 == 0:
+        raise ShapeError(f"conv2d: kernel must be square and odd, got {k}x{k2}")
+    if x.values.shape[0] != ci:
+        raise ShapeError(
+            f"conv2d: input has {x.values.shape[0]} channels, weight expects {ci}")
+    if k > 1 and x.requires_grad:
+        raise ShapeError(f"conv2d: no input gradient through a {k}x{k} kernel")
+    _, h, w, b = x.values.shape
+    cols = (x.values if k == 1 else  # the stem's (C, k, k, H, W, B) patches
+            _taps(_padded(x.values, k // 2, b), 0, 0, h, w, k, k, 1, 1)
+            ).reshape(ci * k * k, -1)
+    w_mat = weight.values.reshape(co, -1)
+    need_x = x.requires_grad
+    kept_cols = cols if weight.requires_grad else None  # only dw reads it
+
+    def grad_fn(g):
+        g_mat = g.reshape(co, -1)
+        return (_gemm(w_mat.T, g_mat).reshape(ci, h, w, b) if need_x else None,
+                None if kept_cols is None
+                else (g_mat @ kept_cols.T).reshape(co, ci, k, k))
+    return _make(_gemm(w_mat, cols).reshape(co, h, w, b), (x, weight), grad_fn,
+                 "conv2d")
+
+
 def _tap_sum(a, top, left, wv, rows, cols, stride, step):
     """(C, rows, cols, B): the windows of _taps(a, ...) times their weight
     taps wv (C, kh, kw), each element adding its taps in (i, j) order from
@@ -476,17 +474,17 @@ def _tap_sum(a, top, left, wv, rows, cols, stride, step):
 
 
 def depthwise_conv2d(x, weight, stride=1):
-    """Same-padding depthwise conv; x (B,C,H,W), weight (C,k,k).
+    """Same-padding depthwise conv; x (C,H,W,B), weight (C,k,k).
 
     Each pass is one np.einsum over a strided tap view of a zero-padded
-    (C, H, W, B) array, batch innermost.  einsum adds each output and
-    input-gradient element's taps in (di, dj) order from 0.0, like a
-    per-tap loop: the input gradient reads a padded g through negative tap
-    strides, one einsum per output parity class at stride 2, and its
-    padding adds only +-0.0.  With one sample, numpy's iterator drops the
-    batch axis and sums the taps in another order, so those two passes run
-    on a zero second sample.  The weight gradient is einsum's own sum over
-    (ho, wo, B) of the same padded x and g, an order fixed by the shapes.
+    copy of its input.  einsum adds each output and input-gradient
+    element's taps in (di, dj) order from 0.0, like a per-tap loop: the
+    input gradient reads a padded g through negative tap strides, one
+    einsum per output parity class at stride 2, and its padding adds only
+    +-0.0.  With one sample, numpy's iterator drops the batch axis and sums
+    the taps in another order, so those two passes run on a zero second
+    sample.  The weight gradient is einsum's own sum over (ho, wo, B) of
+    the same padded x and g, an order fixed by the shapes.
     """
     if x.values.ndim != 4 or weight.values.ndim != 3:
         raise ShapeError(
@@ -495,61 +493,55 @@ def depthwise_conv2d(x, weight, stride=1):
     c, k, k2 = weight.values.shape
     if k != k2 or k % 2 == 0:
         raise ShapeError(f"depthwise_conv2d: kernel must be square and odd, got {k}x{k2}")
-    if x.values.shape[1] != c:
+    if x.values.shape[0] != c:
         raise ShapeError(
-            f"depthwise_conv2d: input has {x.values.shape[1]} channels, weight has {c}")
+            f"depthwise_conv2d: input has {x.values.shape[0]} channels, weight has {c}")
     pad = k // 2
-    b, _, h, w = x.values.shape
+    _, h, w, b = x.values.shape
     bq = max(b, 2)
-    ho = (h - 1) // stride + 1
-    wo = (w - 1) // stride + 1
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
     wv = weight.values
-    # results first, so that the temporaries are freed from the heap top
-    out = np.empty((b, c, ho, wo))
-    xt = np.zeros((c, h + 2 * pad, w + 2 * pad, bq))
-    xt[:, pad:pad + h, pad:pad + w, :b] = x.values.transpose(1, 2, 3, 0)
-    out[...] = _tap_sum(xt, 0, 0, wv, ho, wo, stride, 1)[..., :b].transpose(
-        3, 0, 1, 2)
-
+    xt = _padded(x.values, pad, bq)
+    out = _tap_sum(xt, 0, 0, wv, ho, wo, stride, 1)[..., :b]
     need_x = x.requires_grad
     kept_xt = xt if weight.requires_grad else None  # only dw reads it
 
     def grad_fn(g):
-        dx = np.empty((b, c, h, w)) if need_x else None
-        # g, batch innermost, with `pad` zeros around each image
-        gp = np.zeros((c, ho + 2 * pad, wo + 2 * pad, bq))
-        gp[:, pad:pad + ho, pad:pad + wo, :b] = g.transpose(1, 2, 3, 0)
-        if need_x:
-            # taps di = d0, d0 + stride, ... reach rows py, py + stride, ...
-            for py in range(stride):
-                d0 = (py + pad) % stride
-                for px in range(stride):
-                    e0 = (px + pad) % stride
-                    d = _tap_sum(gp, (py + pad - d0) // stride + pad,
-                                 (px + pad - e0) // stride + pad,
-                                 wv[:, d0::stride, e0::stride],
-                                 len(range(py, h, stride)),
-                                 len(range(px, w, stride)), 1, -1)
-                    dx[:, :, py::stride, px::stride] = d[..., :b].transpose(3, 0, 1, 2)
-                    del d
+        gp = _padded(g, pad, bq)
+        # taps di = d0, d0 + stride, ... reach rows py, py + stride, ...; at
+        # stride 1 the one parity class is all of dx
+        dx = np.empty((c, h, w, bq)) if need_x and stride > 1 else None
+        for py in range(stride if need_x else 0):
+            d0 = (py + pad) % stride
+            for px in range(stride):
+                e0 = (px + pad) % stride
+                d = _tap_sum(gp, (py + pad - d0) // stride + pad,
+                             (px + pad - e0) // stride + pad,
+                             wv[:, d0::stride, e0::stride],
+                             len(range(py, h, stride)),
+                             len(range(px, w, stride)), 1, -1)
+                if stride == 1:
+                    dx = d
+                else:
+                    dx[:, py::stride, px::stride] = d
         dw = None if kept_xt is None else np.einsum(
             "cijhwb,chwb->cij", _taps(kept_xt, 0, 0, ho, wo, k, k, stride, 1),
             gp[:, pad:pad + ho, pad:pad + wo])
-        return dx, dw
+        return None if dx is None else dx[..., :b], dw
     return _make(out, (x, weight), grad_fn, "depthwise_conv2d")
 
 
 def affine_relu(x, gamma, beta):
-    """relu(x * gamma + beta) with per-channel gamma and beta on (B,C,H,W):
+    """relu(x * gamma + beta) with per-channel gamma and beta on (C,H,W,B):
     the fixed-stats norm stand-in and its activation as one node."""
-    c = x.values.shape[1]
+    c = x.values.shape[0]
     if gamma.values.shape != (c,) or beta.values.shape != (c,):
         raise ShapeError(
             f"affine_relu: need per-channel params of shape ({c},), got "
             f"{gamma.values.shape} and {beta.values.shape}")
-    gam = gamma.values.reshape(1, c, 1, 1)
+    gam = gamma.values.reshape(c, 1, 1, 1)
     out = x.values * gam
-    out += beta.values.reshape(1, c, 1, 1)
+    out += beta.values.reshape(c, 1, 1, 1)
     # checked before the relu would clip a -inf; the output, max(finite,
     # 0), needs no second check.  maximum(-0.0, 0.0) is +0.0.
     _check_finite(out, "affine_relu")
@@ -563,20 +555,23 @@ def affine_relu(x, gamma, beta):
     def grad_fn(g):
         gm = g * mask
         return (gm * gam if need_x else None,
-                None if x_vals is None else (gm * x_vals).sum(axis=(0, 2, 3)),
-                gm.sum(axis=(0, 2, 3)) if need_beta else None)
+                None if x_vals is None else (gm * x_vals).sum(axis=(1, 2, 3)),
+                gm.sum(axis=(1, 2, 3)) if need_beta else None)
     return _make(out, (x, gamma, beta), grad_fn, None)
 
 
 def global_avg_pool(x):
+    """(C,H,W,B) -> (B,C): each mean adds its H*W terms in row order.  With
+    one sample numpy's iterator drops the batch axis and sums pairwise, so
+    that case runs on a zero second sample."""
     if x.values.ndim != 4:
-        raise ShapeError(f"global_avg_pool expects (B,C,H,W), got {x.values.shape}")
-    shape = x.values.shape
-    h, w = shape[2:]
+        raise ShapeError(f"global_avg_pool expects (C,H,W,B), got {x.values.shape}")
+    c, h, w, b = x.values.shape
+    xs = x.values if b > 1 else _padded(x.values, 0, 2)
 
     def grad_fn(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), shape),)
-    return _make(x.values.mean(axis=(2, 3)), (x,), grad_fn, "global_avg_pool")
+        return (np.broadcast_to(g.T[:, None, None] / (h * w), (c, h, w, b)),)
+    return _make(xs.mean(axis=(1, 2))[:, :b].T, (x,), grad_fn, "global_avg_pool")
 
 
 def softmax(a):

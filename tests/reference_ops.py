@@ -72,23 +72,23 @@ def relu(a):
 
 
 def channel_affine(x, gamma, beta):
-    """Per-channel scale+shift on (B,C,H,W); the fixed-stats norm stand-in."""
-    c = x.values.shape[1]
+    """Per-channel scale+shift on (C,H,W,B); the fixed-stats norm stand-in."""
+    c = x.values.shape[0]
     if gamma.values.shape != (c,) or beta.values.shape != (c,):
         raise tc.ShapeError(
             f"channel_affine: need per-channel params of shape ({c},), got "
             f"{gamma.values.shape} and {beta.values.shape}")
-    gam = gamma.values.reshape(1, c, 1, 1)
+    gam = gamma.values.reshape(c, 1, 1, 1)
     out = x.values * gam
-    out += beta.values.reshape(1, c, 1, 1)
+    out += beta.values.reshape(c, 1, 1, 1)
 
     need_x, need_beta = x.requires_grad, beta.requires_grad
     x_vals = x.values if gamma.requires_grad else None  # only dgamma reads it
 
     def grad_fn(g):
         return (g * gam if need_x else None,
-                None if x_vals is None else (g * x_vals).sum(axis=(0, 2, 3)),
-                g.sum(axis=(0, 2, 3)) if need_beta else None)
+                None if x_vals is None else (g * x_vals).sum(axis=(1, 2, 3)),
+                g.sum(axis=(1, 2, 3)) if need_beta else None)
     return tc._make(out, (x, gamma, beta), grad_fn, "channel_affine")
 
 
@@ -127,7 +127,7 @@ def reference_forward_train(net, images, labels, tau, rng):
     block one vector draw for its op and one for its bit-width (one shared
     draw, first, with shared precision)."""
     bits = net.space.quant.bit_widths
-    x = tc.conv2d(tc.Tensor(images), net.stem_w)
+    x = tc.conv2d(tc.Tensor(images.transpose(1, 2, 3, 0)), net.stem_w)
     x = relu(channel_affine(x, net.stem_gamma, net.stem_beta))
     if net.shared_precision:
         phi_gs = gumbel_softmax(net.phi, tau, rng=rng, hard=True)
@@ -216,7 +216,8 @@ def baseline_convnet_accuracy(train, heldout, epochs=20, channels=12, lr=0.1,
     brng = np.random.default_rng(seed + 1)
 
     def logits_of(images):
-        h = relu(channel_affine(tc.conv2d(tc.Tensor(images), w1), g1, b1))
+        x = tc.Tensor(images.transpose(1, 2, 3, 0))  # (C, H, W, B)
+        h = relu(channel_affine(tc.conv2d(x, w1), g1, b1))
         return tc.matmul(tc.global_avg_pool(h), w2) + b2
 
     for _ in range(epochs):

@@ -317,6 +317,9 @@ class TestRefusedInput:
         ("search", [], {"data.fractions": [0.4, 0.3, 0.2, 0.1]}),
         ("search", [], {"data.channels": 1}),
         ("search", [], {"data.height": 12}),
+        ("search", [], {"data.fractions": [0.5, 0.6, 0.2]}),
+        ("search", [], {"data.fractions": [1.2, -0.4, 0.2]}),
+        ("search", [], {"output.formats": ["xml"]}),
     ]
 
     @pytest.mark.parametrize("command, flags, edits", CASES, ids=[
@@ -340,6 +343,12 @@ class TestRefusedInput:
         (["--seeds", "-2..1"], {}, "seed must be >= 0, got -2"),
         (["--seed", "-2"], {}, "seed must be >= 0, got -2"),
         ([], {"search.momentum": 1.5}, "momentum must be in [0, 1), got 1.5"),
+        ([], {"data.fractions": [0.5, 0.6, 0.2]}, "split fractions must each "
+         "be > 0 and sum to 1, got [0.5, 0.6, 0.2]"),
+        ([], {"data.fractions": [1.2, -0.4, 0.2]}, "split fractions must each "
+         "be > 0 and sum to 1, got [1.2, -0.4, 0.2]"),
+        ([], {"output.formats": ["json", "xml"]},
+         "output.formats[1]: expected one of json, csv, got 'xml'"),
     ])
     def test_names_the_problem(self, tmp_path, capsys, flags, edits, message):
         doc = yaml.safe_load(SMALL_YAML.format(out=tmp_path / "o"))
@@ -350,6 +359,13 @@ class TestRefusedInput:
         cfg.write_text(yaml.safe_dump(doc))
         assert cli.main(["search", "-c", str(cfg), *flags]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def design_text(**bad):
+    """A two-block design file whose block 1 has the `bad` fields."""
+    block = {"op_index": 0, "bit_width": 4, "parallel_factor": 3}
+    return json.dumps({"device": "fpga_recursive", "shared_precision": False,
+                       "predicted": {}, "blocks": [block, {**block, **bad}]})
 
 
 class TestBadInputFile:
@@ -363,6 +379,14 @@ class TestBadInputFile:
         ("eval", "{}", "missing key 'blocks'"),
         ("eval", '{"blocks": [{"op_index": 0}]}',
          "missing key 'parallel_factor'"),
+        ("eval", design_text(op_index=0.0),
+         "block 1: op_index must be an integer, got 0.0"),
+        ("eval", design_text(op_index=False),
+         "block 1: op_index must be an integer, got False"),
+        ("eval", design_text(bit_width="8"),
+         "block 1: bit_width must be an integer, got '8'"),
+        ("eval", design_text(parallel_factor=2.5),
+         "block 1: parallel_factor must be an integer, got 2.5"),
         ("compare", "{}", "missing key 'config_hash'"),
         ("config", "directory", "cannot read config file"),
         ("config", b"search:\n  epochs: 2\n# caf\xe9\n", "not valid YAML"),
@@ -374,7 +398,9 @@ class TestBadInputFile:
         ("output", "a file", "is not a directory"),
         ("output-below", "a file", "is not a directory"),
     ], ids=["eval-missing-file", "eval-invalid-json", "eval-no-blocks",
-            "eval-no-parallel-factor", "compare-no-config-hash",
+            "eval-no-parallel-factor", "eval-float-op-index",
+            "eval-bool-op-index", "eval-string-bit-width",
+            "eval-float-parallel-factor", "compare-no-config-hash",
             "config-is-a-directory", "config-not-utf8", "table-missing-file",
             "table-invalid-yaml", "table-non-integer-key", "table-float-key",
             "table-bool-key", "output-is-a-file",

@@ -67,6 +67,8 @@ class TestSplit:
         ds = datamod.generate_dataset(DatasetSpec(samples_per_class=8))
         with pytest.raises(DataError, match="sum to 1"):
             datamod.split(ds, (0.5, 0.4), seed=0)
+        with pytest.raises(DataError, match=r"each be > 0.*-0\.4"):
+            datamod.split(ds, (1.2, -0.4, 0.2), seed=0)
 
     def test_empty_split_rejected(self):
         ds = datamod.generate_dataset(DatasetSpec(samples_per_class=8))

@@ -30,7 +30,7 @@ class TestForwardValues:
 
     def test_relu(self):
         def unit(x):  # x * 1 + -0.0 is x, -0.0 included
-            c = x.shape[1]
+            c = x.shape[0]
             return tc.affine_relu(Tensor(x), Tensor(np.ones(c)),
                                   Tensor(np.full(c, -0.0))).values
 
@@ -107,13 +107,13 @@ class TestBackward:
         assert not np.shares_memory(x.grad, y.grad)
 
     def test_conv_input_gradient_only_through_1x1(self):
-        x = Parameter(np.ones((1, 2, 4, 4)))
+        x = Parameter(np.ones((2, 4, 4, 1)))
         w3 = Tensor(np.ones((3, 2, 3, 3)))
         with pytest.raises(ShapeError, match="no input gradient through a 3x3"):
             tc.conv2d(x, w3)
         # a constant input through 3x3, and a grad-requiring one through 1x1
-        assert tc.conv2d(Tensor(x.values), w3).shape == (1, 3, 4, 4)
-        assert tc.conv2d(x, Tensor(np.ones((3, 2, 1, 1)))).shape == (1, 3, 4, 4)
+        assert tc.conv2d(Tensor(x.values), w3).shape == (3, 4, 4, 1)
+        assert tc.conv2d(x, Tensor(np.ones((3, 2, 1, 1)))).shape == (3, 4, 4, 1)
 
     def test_non_scalar_loss_rejected(self):
         x = Parameter([1.0, 2.0])
@@ -270,14 +270,14 @@ class TestAffineRelu:
     @staticmethod
     def inputs(seed):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(3, 4, 5, 5))
+        x = rng.normal(size=(4, 5, 5, 3))
         gamma, beta = rng.normal(size=4), rng.normal(size=4)
         # pre-activations at exactly +-0.0, and -0.0 inputs and gradients
-        x[0, :, 0, 0] = -beta / gamma
-        x[1, 0] = -0.0
+        x[:, 0, 0, 0] = -beta / gamma
+        x[0, ..., 1] = -0.0
         beta[1] = -0.0
         g = rng.normal(size=x.shape)
-        g[2, :, 1] = -0.0
+        g[:, 1, :, 2] = -0.0
         return x, gamma, beta, g
 
     @staticmethod
@@ -314,13 +314,13 @@ class TestAffineRelu:
                 assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_negative_overflow_is_refused_before_the_clip(self):
-        x = Tensor(np.full((1, 2, 2, 2), 1e308))
+        x = Tensor(np.full((2, 2, 2, 1), 1e308))
         with Tape(), pytest.raises(NonFiniteError, match="affine_relu"):
             tc.affine_relu(x, Parameter([-10.0, 1.0]), Parameter([0.0, 0.0]))
 
     def test_shape_error_names_the_op(self):
         with pytest.raises(ShapeError, match="affine_relu"):
-            tc.affine_relu(Tensor(np.ones((1, 2, 3, 3))), Tensor(np.ones(3)),
+            tc.affine_relu(Tensor(np.ones((2, 3, 3, 1))), Tensor(np.ones(3)),
                            Tensor(np.zeros(2)))
 
 
@@ -338,11 +338,11 @@ class TestFiniteDiff:
 
     # primitive, input shapes, the input slots held constant
     CONSTANT_INPUT = {
-        "conv_const_x": (tc.conv2d, ((2, 3, 5, 5), (4, 3, 3, 3)), (0,)),
-        "conv1x1_const_x": (tc.conv2d, ((2, 3, 5, 5), (4, 3, 1, 1)), (0,)),
-        "dwconv_const_w": (tc.depthwise_conv2d, ((2, 3, 5, 5), (3, 3, 3)),
+        "conv_const_x": (tc.conv2d, ((3, 5, 5, 2), (4, 3, 3, 3)), (0,)),
+        "conv1x1_const_x": (tc.conv2d, ((3, 5, 5, 2), (4, 3, 1, 1)), (0,)),
+        "dwconv_const_w": (tc.depthwise_conv2d, ((3, 5, 5, 2), (3, 3, 3)),
                            (1,)),
-        "affine_const_gb": (channel_affine, ((2, 3, 4, 4), (3,), (3,)),
+        "affine_const_gb": (channel_affine, ((3, 4, 4, 2), (3,), (3,)),
                             (1, 2)),
         "mul_const_b": (tc.mul, ((2, 3), (2, 3)), (1,)),
         "sub_const_a": (tc.sub, ((2, 3), (2, 3)), (0,)),
@@ -451,38 +451,38 @@ class TestFiniteDiff:
             m2 = Tensor(rng.normal(size=(2, 4)))
             return finite_diff_check(lambda: (tc.matmul(a, w) * m2).sum(), [a, w])
         if name == "conv":  # x and w gradients; x only through a 1x1 kernel
-            x = Parameter(rng.normal(size=(2, 3, 5, 5)))
+            x = Parameter(rng.normal(size=(3, 5, 5, 2)))
             w = Parameter(rng.normal(size=(4, 3, 1, 1)))
-            m2 = Tensor(rng.normal(size=(2, 4, 5, 5)))
+            m2 = Tensor(rng.normal(size=(4, 5, 5, 2)))
             return finite_diff_check(
                 lambda: (tc.conv2d(x, w) * m2).sum(), [x, w])
         if name == "dwconv":
-            x = Parameter(rng.normal(size=(2, 3, 5, 5)))
+            x = Parameter(rng.normal(size=(3, 5, 5, 2)))
             w = Parameter(rng.normal(size=(3, 3, 3)))
-            m2 = Tensor(rng.normal(size=(2, 3, 5, 5)))
+            m2 = Tensor(rng.normal(size=(3, 5, 5, 2)))
             return finite_diff_check(
                 lambda: (tc.depthwise_conv2d(x, w) * m2).sum(), [x, w])
         if name == "affine":
-            x = Parameter(rng.normal(size=(2, 3, 4, 4)))
+            x = Parameter(rng.normal(size=(3, 4, 4, 2)))
             g = Parameter(rng.normal(size=3))
             be = Parameter(rng.normal(size=3))
-            m2 = Tensor(rng.normal(size=(2, 3, 4, 4)))
+            m2 = Tensor(rng.normal(size=(3, 4, 4, 2)))
             return finite_diff_check(
                 lambda: (channel_affine(x, g, be) * m2).sum(), [x, g, be])
         if name == "affine_relu":
-            x = Parameter(rng.normal(size=(2, 3, 4, 4)))
+            x = Parameter(rng.normal(size=(3, 4, 4, 2)))
             g = Parameter(rng.choice([-1, 1], 3) * rng.uniform(0.5, 1.5, 3))
             be = Parameter(rng.normal(size=3))
             # keep pre-activations away from the kink
-            gam = g.values[:, None, None]
-            pre = x.values * gam + be.values[:, None, None]
+            gam = g.values[:, None, None, None]
+            pre = x.values * gam + be.values[:, None, None, None]
             shift = Tensor(np.where(np.abs(pre) < 0.05, 0.2 / gam, 0.0))
-            m2 = Tensor(rng.normal(size=(2, 3, 4, 4)))
+            m2 = Tensor(rng.normal(size=(3, 4, 4, 2)))
             return finite_diff_check(
                 lambda: (tc.affine_relu(x + shift, g, be) * m2).sum(),
                 [x, g, be])
         if name == "gap":
-            x = Parameter(rng.normal(size=(2, 3, 4, 4)))
+            x = Parameter(rng.normal(size=(3, 4, 4, 2)))
             m2 = Tensor(rng.normal(size=(2, 3)))
             return finite_diff_check(
                 lambda: (tc.global_avg_pool(x) * m2).sum(), [x])
@@ -517,42 +517,39 @@ class TestFiniteDiff:
 
 
 def reference_depthwise(x, weight, stride, g):
-    """The plain per-tap depthwise conv: output, d/dx and d/dweight for the
-    output gradient g, over the whole batch at once."""
+    """The plain per-tap depthwise conv on (C, H, W, B): output, d/dx and
+    d/dweight for the output gradient g, over the whole batch at once."""
     c, k, _ = weight.shape
     pad = k // 2
-    _, _, h, w = x.shape
+    _, h, w, _ = x.shape
     ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((x.shape[0], c, ho, wo))
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    out = np.zeros(g.shape)
     dxp = np.zeros_like(xp)
     dw = np.empty_like(weight)
     for di in range(k):
         for dj in range(k):
-            win = (slice(None), slice(None),
-                   slice(di, di + stride * ho, stride),
+            win = (slice(None), slice(di, di + stride * ho, stride),
                    slice(dj, dj + stride * wo, stride))
-            out += weight[:, di, dj][None, :, None, None] * xp[win]
-            # each channel's (ho, wo, B) product, batch innermost, as one run
-            dw[:, di, dj] = np.ascontiguousarray(
-                (xp[win] * g).transpose(1, 2, 3, 0)).reshape(c, -1).sum(axis=1)
-            dxp[win] += weight[:, di, dj][None, :, None, None] * g
-    return out, dxp[:, :, pad:pad + h, pad:pad + w], dw
+            tap = weight[:, di, dj][:, None, None, None]
+            out += tap * xp[win]
+            # each channel's (ho, wo, B) product as one run
+            dw[:, di, dj] = (xp[win] * g).reshape(c, -1).sum(axis=1)
+            dxp[win] += tap * g
+    return out, dxp[:, pad:pad + h, pad:pad + w], dw
 
 
 def einsum_weight_gradient(x, k, stride, g):
     """d/dweight as depthwise_conv2d defines it: one einsum over the tap
-    windows (built here with sliding_window_view) of the input, batch
-    innermost, zero-padded to (C, H, W, max(B, 2)), against g padded the
-    same way."""
-    pad, b = k // 2, x.shape[0]
+    windows (built here with sliding_window_view) of the input,
+    zero-padded to (C, H, W, max(B, 2)), against g padded the same way."""
+    pad, b = k // 2, x.shape[3]
     sizes = ((0, 0), (pad, pad), (pad, pad), (0, max(b, 2) - b))
-    xt, gt = (np.pad(np.ascontiguousarray(a.transpose(1, 2, 3, 0)), sizes)
-              for a in (x, g))
+    xt, gt = np.pad(x, sizes), np.pad(g, sizes)
     win = np.lib.stride_tricks.sliding_window_view(xt, (k, k), axis=(1, 2))
     taps = win[:, ::stride, ::stride].transpose(0, 4, 5, 1, 2, 3)
     return np.einsum("cijhwb,chwb->cij", taps,
-                     gt[:, pad:pad + g.shape[2], pad:pad + g.shape[3]])
+                     gt[:, pad:pad + g.shape[1], pad:pad + g.shape[2]])
 
 
 @st.composite
@@ -586,10 +583,10 @@ def depthwise_pass(x, weight, stride, g, held=()):
 
 def depthwise_inputs(shape, rng):
     b, c, h, w, k, stride = shape
-    x, weight = rng.normal(size=(b, c, h, w)), rng.normal(size=(c, k, k))
+    x, weight = rng.normal(size=(c, h, w, b)), rng.normal(size=(c, k, k))
     x[rng.random(x.shape) < 0.1] = -0.0
     ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-    return x, weight, rng.normal(size=(b, c, ho, wo))
+    return x, weight, rng.normal(size=(c, ho, wo, b))
 
 
 def at_offset(shape, offset):
@@ -606,8 +603,8 @@ class TestDepthwiseReference:
         b, c, h, w, k, stride = shape
         x, weight, g = depthwise_inputs(shape, rng)
         pad = k // 2
-        assert np.array_equal(tc._pad_hw(x, pad), np.pad(
-            x, ((0, 0), (0, 0), (pad, pad), (pad, pad))))
+        assert np.array_equal(tc._padded(x, pad, max(b, 2)), np.pad(
+            x, ((0, 0), (pad, pad), (pad, pad), (0, max(b, 2) - b))))
         want = reference_depthwise(x, weight, stride, g)
         out, dx, dw = depthwise_pass(x, weight, stride, g, held)
         assert_same_bits(out, want[0])
@@ -667,6 +664,60 @@ class TestDepthwiseReference:
                 assert_same_bits(a, b)
 
 
+def batch_primitive(name, c, rng):
+    """(primitive of a (C, H, W, B) input x, whether x gets a gradient, the
+    output's batch axis) for one (C, H, W, B) primitive, its other inputs
+    drawn from rng."""
+    if name in ("conv1x1", "stem3x3"):
+        k = 1 if name == "conv1x1" else 3
+        weight = Tensor(rng.normal(size=(int(rng.integers(1, 40)), c, k, k)))
+        return (lambda x: tc.conv2d(x, weight)), k == 1, 3
+    if name.startswith("depthwise"):
+        k = int(rng.choice([1, 3, 5]))
+        weight, stride = Tensor(rng.normal(size=(c, k, k))), int(name[-1])
+        return (lambda x: tc.depthwise_conv2d(x, weight, stride)), True, 3
+    if name == "affine_relu":
+        gamma, beta = Tensor(rng.normal(size=c)), Tensor(rng.normal(size=c))
+        return (lambda x: tc.affine_relu(x, gamma, beta)), True, 3
+    assert name == "pool"
+    return tc.global_avg_pool, True, 0
+
+
+class TestSamplesDoNotMix:
+    """Each (C, H, W, B) primitive gives every sample of a batch, forward
+    and input gradient, the bits that sample alone gets.  `heldout` relies
+    on it: its chunks must score as the whole set does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["conv1x1", "stem3x3", "depthwise1",
+                                 "depthwise2", "affine_relu", "pool"]),
+           b=st.integers(2, 12), c=st.integers(1, 24), h=st.integers(1, 12),
+           w=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+    def test_each_sample_as_if_alone(self, name, b, c, h, w, seed):
+        rng = np.random.default_rng(seed)
+        fn, needs_grad, axis = batch_primitive(name, c, rng)
+        x = rng.normal(size=(c, h, w, b))
+        x[rng.random(x.shape) < 0.1] = -0.0
+        g = rng.normal(size=fn(Tensor(x)).values.shape)
+
+        def run(xs, gs):
+            """Output and input gradient (None if x gets none)."""
+            with Tape() as tape:
+                out = fn(Parameter(xs) if needs_grad else Tensor(xs))
+            if not needs_grad:
+                return out.values, None
+            (_, _, grad_fn), = tape._entries
+            return out.values, grad_fn(gs)[0]
+
+        out, dx = run(x, g)
+        for i in range(b):
+            alone = run(np.ascontiguousarray(x[..., i:i + 1]),
+                        np.take(g, [i], axis))
+            assert_same_bits(alone[0], np.take(out, [i], axis))
+            if needs_grad:
+                assert_same_bits(alone[1], dx[..., i:i + 1])
+
+
 # Ops of the random graphs below: each maps two (2, 3) tensors to one.
 GRAPH_OPS = {
     "add": lambda a, b: a + b,
@@ -698,7 +749,7 @@ def small_graphs(draw):
 class TestTape:
     def test_activation_no_gradient_reads_is_freed(self):
         rng = np.random.default_rng(0)
-        x = Parameter(rng.normal(size=(2, 3, 4, 4)))
+        x = Parameter(rng.normal(size=(3, 4, 4, 2)))
         gamma, beta = Parameter(np.ones(3)), Parameter(rng.normal(size=3))
         with Tape(frozen=[gamma]) as tape:
             h = x * Tensor(2.0)  # mul keeps the constant, not x
@@ -712,7 +763,7 @@ class TestTape:
             assert freed() is None
             tape.backward(loss)
         assert np.array_equal(x.grad, 2.0 * (2.0 * x.values
-                                             + beta.values[:, None, None]
+                                             + beta.values[:, None, None, None]
                                              > 0))
 
     @settings(max_examples=150, deadline=None)
