@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: search, enumerate, eval, compare, template.  Config files are
-commented YAML validated against the schema below; every emitted artifact
-is JSON with floats at 17 significant digits so identical runs produce
-identical bytes.
+commented YAML validated against the schema below.  Artifacts are JSON and
+CSV with each float in Python's shortest repr, so it reads back as the same
+float and identical runs produce identical bytes.
 
 Exit codes: 0 success, 1 usage/config error, 2 infeasibility, 3 numerical
 abort, 4 comparison threshold exceeded.
@@ -292,34 +292,17 @@ def build_search_config(doc, seed=None, device_kind=None) -> SearchConfig:
         raise ConfigFileError(str(exc)) from None
 
 
-# -- canonical JSON (bytewise reproducible) ----------------------------------------
+# -- JSON artifacts -----------------------------------------------------------------
 
-def to_json(obj, indent=0) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join("  " * (indent + 1) + to_json(v, indent + 1)
-                           for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            "  " * (indent + 1) + json.dumps(str(k)) + ": " + to_json(v, indent + 1)
-            for k, v in obj.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def _number(value):
+    """A numpy scalar as the Python number it holds."""
+    if not isinstance(value, np.generic):
+        raise TypeError(f"cannot serialize {type(value)!r}")
+    return value.item()
+
+
+def to_json(doc) -> str:
+    return json.dumps(doc, indent=2, default=_number)
 
 
 def write_json(path, doc):
@@ -346,7 +329,7 @@ def read_json(path, parse=None):
         return parse(doc)
     except KeyError as exc:
         raise ConfigFileError(f"{path}: missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigFileError(f"{path}: unexpected layout: {exc}") from None
 
 
@@ -396,7 +379,7 @@ def design_from_document(doc) -> DerivedDesign:
         device_kind=doc["device"],
         op_indices=fields["op_index"],
         bit_widths=fields["bit_width"],
-        parallel_factors=None if None in pfs else pfs,
+        parallel_factors=None if pfs.count(None) == len(pfs) else pfs,
         shared_precision=doc["shared_precision"],
         predicted=dict(doc["predicted"]),
     )
@@ -444,13 +427,7 @@ def curves_csv(report) -> str:
     cols = ["epoch", "tau", "train_acc_loss", "val_acc_loss", "perf_loss",
             "resource", "total_loss"]
     lines = [",".join(cols)]
-    for row in report.epochs:
-        cells = []
-        for c in cols:
-            v = row[c]
-            cells.append(str(v) if isinstance(v, int)
-                         else format(float(v), ".17g"))
-        lines.append(",".join(cells))
+    lines += [",".join(str(row[c]) for c in cols) for row in report.epochs]
     return "\n".join(lines) + "\n"
 
 
@@ -563,15 +540,15 @@ def cmd_eval(args) -> int:
     design = read_json(args.design, design_from_document)
     out = _out_dir(doc, args.output)
     if design.device_kind != config.device.kind:
-        raise ConfigFileError(f"design is for device {design.device_kind}, "
-                              f"not {config.device.kind}")
-    if config.device.kind != "gpu_table" and design.parallel_factors is None:
-        raise ConfigFileError("design: parallel_factor missing for an FPGA "
-                              "device")
+        raise ConfigFileError(f"{args.design}: design is for device "
+                              f"{design.device_kind}, not {config.device.kind}")
     # metrics are recomputed from the design fields, never echoed from the file
-    design.predicted = predict_discrete(config.space, config.device,
-                                        design.op_indices, design.bit_widths,
-                                        design.parallel_factors)
+    try:
+        design.predicted = predict_discrete(
+            config.space, config.device, design.op_indices, design.bit_widths,
+            design.parallel_factors)
+    except (CostError, SpaceError) as exc:
+        raise ConfigFileError(f"{args.design}: {exc}") from None
     _, metrics = retrain_design(design, config, epochs=args.retrain_epochs)
     result = {
         "schema": "cosearch-eval-v1",

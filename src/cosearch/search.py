@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as datamod
 from . import tensorcore as tc
-from .costmodel import (CostHyperparams, CostModel, DeviceModel,
+from .costmodel import (CostError, CostHyperparams, CostModel, DeviceModel,
                         GpuLatencyTable, InfeasibleError)
 from .supernet import SearchSpace, Supernet
 from .tensorcore import NonFiniteError, Parameter, Tape, Tensor
@@ -277,9 +277,24 @@ class DerivedDesign:
 def predict_discrete(space, device, ops, bits, pfs):
     """Exact metrics of a discrete design: the cost model at its one-hot
     weights, with perf_norm 1 so that block perfs are latencies.  A design
-    outside `space` raises SpaceError naming the block."""
+    outside `space` raises SpaceError naming the block.  One that `device`
+    cannot run raises CostError naming the block: on the GPU a second
+    bit-width or any parallel factor, on an FPGA a factor that is not an
+    integer in [0, floor(pf_max)], the range the retune rounds into."""
     cm = CostModel(space, device)
     theta_w, phi_w = cm.vertex_weights(ops, bits)
+    if device.kind == "gpu_table":
+        for i, (b, pf) in enumerate(zip(bits, pfs or [None] * len(bits))):
+            if pf is not None or b != bits[0]:
+                raise CostError(f"block {i}: gpu_table runs every block at one "
+                                f"bit-width and no parallel factor, got "
+                                f"bit_width {b}, parallel factor {pf}")
+    else:
+        top = math.floor(device.pf_max)
+        for i, pf in enumerate([None] * len(ops) if pfs is None else pfs):
+            if type(pf) is not int or not 0 <= pf <= top:  # refuses a bool
+                raise CostError(f"block {i}: parallel factor {pf} is not an "
+                                f"integer in 0..{top}")
     pf = cm.layout_pfs(ops, pfs)
     out = cm.apply_pf(theta_w, cm.terms(theta_w, phi_w),
                       None if pf is None else Tensor(pf))

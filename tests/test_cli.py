@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ import yaml
 
 from cosearch import cli
 from cosearch import data as datamod
-from cosearch.costmodel import DeviceModel, reference_gpu_table
+from cosearch.costmodel import (CostHyperparams, DeviceModel,
+                                reference_gpu_table)
 from cosearch.oracle import OracleProtocol
 from cosearch.search import SearchConfig
 from cosearch.supernet import QuantLevels, SearchSpace
@@ -102,6 +105,60 @@ class TestConfigSchema:
             == (protocol.train_steps, protocol.seed, protocol.cap,
                 protocol.workers)
 
+    def test_every_key_reaches_its_field(self, tmp_path):
+        # every value differs from the default and from every other key's,
+        # so a swapped line in the mapping shows; the data geometry must
+        # match the space's, so those pairs share a value
+        doc = {
+            "search": {"epochs": 2, "steps_per_epoch": 3, "batch_size": 11,
+                       "lr_weights": 0.011, "momentum": 0.55,
+                       "lr_arch": 0.022, "lr_pf": 0.033, "tau_start": 4.4,
+                       "tau_end": 0.66, "seed": 13, "alpha": 1.7,
+                       "beta": 2.9, "penalty_base": 3.3,
+                       "penalty_res_norm": 77.0, "retune_steps": 17,
+                       "retune_lr": 0.044, "retrain_epochs": 19},
+            "space": {"blocks": 3, "kernel_sizes": [1, 7],
+                      "expansion_ratios": [3, 6], "bit_widths": [2, 8],
+                      "input_hw": [12, 10], "input_channels": 2,
+                      "stem_channels": 9, "channel_plan": [6, 14, 20],
+                      "downsample_blocks": [3], "num_classes": 5},
+            "device": {"kind": "fpga_pipelined", "resource_bound": 500.0,
+                       "pf_max": 7.5},
+            "data": {"classes": 5, "samples_per_class": 23, "height": 12,
+                     "width": 10, "channels": 2, "seed": 29,
+                     "noise_std": 0.15, "fractions": [0.5, 0.3, 0.2]},
+        }
+        want = SearchConfig(
+            space=SearchSpace(
+                num_blocks=3, kernel_sizes=(1, 7), expansion_ratios=(3, 6),
+                quant=QuantLevels((2, 8)), input_hw=(12, 10),
+                input_channels=2, stem_channels=9, channel_plan=(6, 14, 20),
+                downsample_blocks=(3,), num_classes=5),
+            device=DeviceModel(kind="fpga_pipelined", res_ub=500.0,
+                               pf_max=7.5),
+            hyper=CostHyperparams(alpha=1.7, beta=2.9, base=3.3,
+                                  res_norm=77.0),
+            data=datamod.DatasetSpec(
+                num_classes=5, samples_per_class=23, height=12, width=10,
+                channels=2, seed=29, noise_std=0.15),
+            fractions=(0.5, 0.3, 0.2), epochs=2, steps_per_epoch=3,
+            batch_size=11, lr_weights=0.011, momentum=0.55, lr_arch=0.022,
+            lr_pf=0.033, tau_start=4.4, tau_end=0.66, seed=13,
+            retune_steps=17, retune_lr=0.044, retrain_epochs=19)
+        assert cli.build_search_config(cli.validate_config(doc)) == want
+        assert cli.build_search_config(cli.validate_config(doc),
+                                       seed=31) == replace(want, seed=31)
+        doc["search"]["penalty_res_norm"] = None  # the resource bound
+        assert cli.build_search_config(cli.validate_config(doc)).hyper == \
+            replace(want.hyper, res_norm=500.0)
+        table = reference_gpu_table(want.space)
+        path = tmp_path / "table.yaml"
+        path.write_text(yaml.safe_dump(table.to_mapping()))
+        doc["device"].update(kind="gpu_table", gpu_table_path=str(path))
+        device = cli.build_search_config(cli.validate_config(doc)).device
+        assert device.kind == "gpu_table"
+        assert device.table.to_mapping() == table.to_mapping()
+
 
 class TestJsonSerialization:
     def test_roundtrip_equality(self):
@@ -111,10 +168,24 @@ class TestJsonSerialization:
         text = cli.to_json(doc)
         assert json.loads(text) == doc
 
-    def test_17_sig_digits(self):
-        text = cli.to_json({"x": 0.1})
-        assert "0.1000000000000000" in text
-        assert json.loads(text)["x"] == 0.1
+    def test_floats_read_back_as_floats(self):
+        # whole floats stay floats, -0.0 keeps its sign, and each float is
+        # its shortest repr, in JSON and in the CSV cells alike
+        values = [0.0, -0.0, 2.0, 900.0, 0.1, 0.29421352893235531,
+                  np.float64(2.5e-5), np.float32(0.75)]
+        text = cli.to_json({"x": values})
+        back = json.loads(text)["x"]
+        assert [type(v) for v in back] == [float] * len(values)
+        assert [math.copysign(1.0, v) for v in back] == \
+            [math.copysign(1.0, v) for v in values]
+        assert back == values
+        assert "0.2942135289323553," in text and "2.5e-05," in text
+        row = dict(zip(["tau", "train_acc_loss", "val_acc_loss", "perf_loss",
+                        "resource", "total_loss"], values))
+        csv = cli.curves_csv(types.SimpleNamespace(epochs=[{"epoch": 0,
+                                                            **row}]))
+        assert csv.splitlines()[1] == \
+            "0,0.0,-0.0,2.0,900.0,0.1,0.2942135289323553"
 
     def test_numpy_scalars_serialized(self):
         text = cli.to_json({"a": np.float64(0.5), "b": np.int64(3)})
@@ -131,6 +202,8 @@ class TestSearchCommand:
         report = json.loads((out / "seed1_report.json").read_text())
         assert report["schema"] == "cosearch-report-v1"
         assert len(report["epochs"]) == 2
+        res_ub = report["config"]["device"]["res_ub"]  # 64 in the YAML
+        assert res_ub == 64.0 and type(res_ub) is float
         design = json.loads((out / "seed1_design.json").read_text())
         assert len(design["blocks"]) == 2
         meta = dict(line.split("=") for line in
@@ -361,11 +434,13 @@ class TestRefusedInput:
         assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def design_text(**bad):
-    """A two-block design file whose block 1 has the `bad` fields."""
-    block = {"op_index": 0, "bit_width": 4, "parallel_factor": 3}
-    return json.dumps({"device": "fpga_recursive", "shared_precision": False,
-                       "predicted": {}, "blocks": [block, {**block, **bad}]})
+def design_text(device="fpga_recursive", pf=3, blocks=2, **bad):
+    """A design file for `device` with `blocks` blocks at parallel factor
+    `pf`, whose block 1 has the `bad` fields."""
+    block = {"op_index": 0, "bit_width": 4, "parallel_factor": pf}
+    return json.dumps({"device": device, "shared_precision": False,
+                       "predicted": {},
+                       "blocks": [block, {**block, **bad}][:blocks]})
 
 
 class TestBadInputFile:
@@ -387,6 +462,26 @@ class TestBadInputFile:
          "block 1: bit_width must be an integer, got '8'"),
         ("eval", design_text(parallel_factor=2.5),
          "block 1: parallel_factor must be an integer, got 2.5"),
+        ("eval", design_text().replace('"predicted": {}', '"predicted": "ab"'),
+         "unexpected layout: dictionary update sequence"),
+        ("eval", design_text(op_index=9), "block 1: op_index 9 out of range"),
+        ("eval", design_text(blocks=1), "design has 1 blocks, space has 2"),
+        ("eval", design_text(parallel_factor=5),
+         "block 0: parallel factor 3 for op 0, whose shared IP runs at 5"),
+        ("eval", design_text(device="fpga_pipelined"),
+         "design is for device fpga_pipelined, not fpga_recursive"),
+        ("eval", design_text(parallel_factor=None),
+         "block 1: parallel factor None is not an integer in 0..6"),
+        ("eval", design_text(parallel_factor=-3),
+         "block 1: parallel factor -3 is not an integer in 0..6"),
+        ("eval", design_text(parallel_factor=40),
+         "block 1: parallel factor 40 is not an integer in 0..6"),
+        ("eval-gpu", design_text("gpu_table", pf=None, bit_width=8),
+         "block 1: gpu_table runs every block at one bit-width and no "
+         "parallel factor, got bit_width 8, parallel factor None"),
+        ("eval-gpu", design_text("gpu_table", pf=None, parallel_factor=3),
+         "block 1: gpu_table runs every block at one bit-width and no "
+         "parallel factor, got bit_width 4, parallel factor 3"),
         ("compare", "{}", "missing key 'config_hash'"),
         ("config", "directory", "cannot read config file"),
         ("config", b"search:\n  epochs: 2\n# caf\xe9\n", "not valid YAML"),
@@ -400,7 +495,13 @@ class TestBadInputFile:
     ], ids=["eval-missing-file", "eval-invalid-json", "eval-no-blocks",
             "eval-no-parallel-factor", "eval-float-op-index",
             "eval-bool-op-index", "eval-string-bit-width",
-            "eval-float-parallel-factor", "compare-no-config-hash",
+            "eval-float-parallel-factor", "eval-string-predicted",
+            "eval-op-index-off-the-menu",
+            "eval-too-few-blocks", "eval-conflicting-shared-ip",
+            "eval-other-device", "eval-null-parallel-factor",
+            "eval-negative-parallel-factor",
+            "eval-parallel-factor-above-pf-max", "eval-gpu-two-bit-widths",
+            "eval-gpu-parallel-factor", "compare-no-config-hash",
             "config-is-a-directory", "config-not-utf8", "table-missing-file",
             "table-invalid-yaml", "table-non-integer-key", "table-float-key",
             "table-bool-key", "output-is-a-file",
@@ -414,21 +515,30 @@ class TestBadInputFile:
             path.write_bytes(text)
         elif text is not None:
             path.write_text(text)
-        gpu_cfg = tmp_path / "gpu.yaml"
-        gpu_cfg.write_text(Path(small_cfg).read_text().replace(
-            "kind: fpga_recursive", f"kind: gpu_table\n  gpu_table_path: {path}"))
+        table = tmp_path / "table.yaml"
+        space = cli.build_search_config(cli.load_config_file(small_cfg)).space
+        table.write_text(yaml.safe_dump(reference_gpu_table(space).to_mapping()))
+
+        def gpu_cfg(table):
+            cfg = tmp_path / f"gpu_{table.stem}.yaml"
+            cfg.write_text(Path(small_cfg).read_text().replace(
+                "kind: fpga_recursive",
+                f"kind: gpu_table\n  gpu_table_path: {table}"))
+            return str(cfg)
         argv = {"eval": ["eval", "-c", small_cfg, str(path)],
+                "eval-gpu": ["eval", "-c", gpu_cfg(table), str(path)],
                 "compare": ["compare", str(path), str(path)],
                 "config": ["search", "-c", str(path)],
-                "table": ["search", "-c", str(gpu_cfg)],
+                "table": ["search", "-c", gpu_cfg(path)],
                 "output": ["search", "-c", small_cfg, "--output", str(path)],
                 "output-below": ["search", "-c", small_cfg,
                                  "--output", str(path / "o")],
                 }[command]
 
         def no_search(*args, **kwargs):
-            raise AssertionError("a search ran")
+            raise AssertionError("a search or a retrain ran")
         monkeypatch.setattr(cli, "run_search", no_search)
+        monkeypatch.setattr(cli, "retrain_design", no_search)
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err, err
@@ -544,6 +654,7 @@ class TestEnumerateEvalCompare:
                          "--retrain-epochs", "1"]) == 0
         result = json.loads((out / "eval.json").read_text())
         assert result["predicted"]["resource"] == 0.0
+        assert type(result["predicted"]["resource"]) is float
 
     def test_eval_recomputes_for_wider_bits(self, small_cfg, tmp_path,
                                             artifacts):
@@ -595,7 +706,8 @@ class TestEnumerateEvalCompare:
         cli.write_json(str(bad), doc)
         assert cli.main(["eval", "-c", small_cfg, str(bad)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: block 0: parallel factor 3 ")
+        assert err.startswith(
+            f"config error: {bad}: block 0: parallel factor 3 ")
         assert "Traceback" not in err
 
     def test_eval_refuses_a_design_of_another_device(self, small_cfg,
