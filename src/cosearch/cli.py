@@ -12,6 +12,7 @@ abort, 4 comparison threshold exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -43,55 +44,56 @@ class ConfigFileError(Exception):
     pass
 
 
-# -- schema: section -> key -> (type, default, comment) ---------------------------
-# A default that sets a library field is read from that field; the literals
-# are the CLI's own settings.
+# -- schema: section -> key -> (type, field or default, comment) ------------------
+# A tuple names the library field the key sets, by its path from SearchConfig,
+# and its default is read there; any other value is a CLI setting's default.
 
-_SC, _SS = SearchConfig, SearchSpace
-_HP, _DS = CostHyperparams, datamod.DatasetSpec
+_LIBRARY = SearchConfig(SearchSpace(), None, CostHyperparams(), datamod.DatasetSpec())
 
 _SCHEMA = {
     "search": {
-        "epochs": (int, _SC.epochs, "bilevel epochs of the co-search"),
-        "steps_per_epoch": (int, _SC.steps_per_epoch,
+        "epochs": (int, ("epochs",), "bilevel epochs of the co-search"),
+        "steps_per_epoch": (int, ("steps_per_epoch",),
                             "alternating steps per epoch"),
-        "batch_size": (int, _SC.batch_size, "minibatch size for both phases"),
-        "lr_weights": (float, _SC.lr_weights, "SGD step for network weights"),
-        "momentum": (float, _SC.momentum, "SGD momentum for network weights"),
-        "lr_arch": (float, _SC.lr_arch, "Adam step for op/bit-width logits"),
-        "lr_pf": (float, _SC.lr_pf, "Adam step for parallel factors"),
-        "tau_start": (float, _SC.tau_start, "initial sampling temperature"),
-        "tau_end": (float, _SC.tau_end,
+        "batch_size": (int, ("batch_size",), "minibatch size for both phases"),
+        "lr_weights": (float, ("lr_weights",), "SGD step for network weights"),
+        "momentum": (float, ("momentum",), "SGD momentum for network weights"),
+        "lr_arch": (float, ("lr_arch",), "Adam step for op/bit-width logits"),
+        "lr_pf": (float, ("lr_pf",), "Adam step for parallel factors"),
+        "tau_start": (float, ("tau_start",), "initial sampling temperature"),
+        "tau_end": (float, ("tau_end",),
                     "final sampling temperature (exponential anneal)"),
-        "seed": (int, _SC.seed, "run seed; overridable with --seed"),
-        "alpha": (float, _HP.alpha, "performance-loss scale"),
-        "beta": (float, _HP.beta, "resource-penalty weight"),
-        "penalty_base": (float, _HP.base, "resource-penalty base (> 1)"),
+        "seed": (int, ("seed",), "run seed; overridable with --seed"),
+        "alpha": (float, ("hyper", "alpha"), "performance-loss scale"),
+        "beta": (float, ("hyper", "beta"), "resource-penalty weight"),
+        "penalty_base": (float, ("hyper", "base"), "resource-penalty base (> 1)"),
         "penalty_res_norm": (
             "optional_float", None,
             "divisor of the penalty exponent; default: the resource bound"),
-        "retune_steps": (int, _SC.retune_steps,
+        "retune_steps": (int, ("retune_steps",),
                          "descent steps for post-search pf re-tuning"),
-        "retune_lr": (float, _SC.retune_lr, "step size for pf re-tuning"),
-        "retrain_epochs": (int, _SC.retrain_epochs,
+        "retune_lr": (float, ("retune_lr",), "step size for pf re-tuning"),
+        "retrain_epochs": (int, ("retrain_epochs",),
                            "epochs when retraining a derived design"),
     },
     "space": {
-        "blocks": (int, _SS.num_blocks, "number of sequential searchable blocks"),
-        "kernel_sizes": ("int_list", list(_SS.kernel_sizes),
+        "blocks": (int, ("space", "num_blocks"),
+                   "number of sequential searchable blocks"),
+        "kernel_sizes": ("int_list", ("space", "kernel_sizes"),
                          "depthwise kernel menu (odd)"),
-        "expansion_ratios": ("int_list", list(_SS.expansion_ratios),
+        "expansion_ratios": ("int_list", ("space", "expansion_ratios"),
                              "channel expansion menu"),
-        "bit_widths": ("int_list", list(_SS.quant.bit_widths),
+        "bit_widths": ("int_list", ("space", "quant", "bit_widths"),
                        "weight bit-width menu, increasing"),
-        "input_hw": ("int_list", list(_SS.input_hw), "input height and width"),
-        "input_channels": (int, _SS.input_channels, "input channels"),
-        "stem_channels": (int, _SS.stem_channels, "channels out of the stem conv"),
-        "channel_plan": ("int_list", list(_SS.channel_plan),
+        "input_hw": ("int_list", ("space", "input_hw"), "input height and width"),
+        "input_channels": (int, ("space", "input_channels"), "input channels"),
+        "stem_channels": (int, ("space", "stem_channels"),
+                          "channels out of the stem conv"),
+        "channel_plan": ("int_list", ("space", "channel_plan"),
                          "output channels per block"),
-        "downsample_blocks": ("int_list", list(_SS.downsample_blocks),
+        "downsample_blocks": ("int_list", ("space", "downsample_blocks"),
                               "1-indexed blocks that stride by 2"),
-        "num_classes": (int, _SS.num_classes,
+        "num_classes": (int, ("space", "num_classes"),
                         "classifier classes (match data.classes)"),
     },
     "device": {
@@ -99,21 +101,21 @@ _SCHEMA = {
                  "fpga_recursive | fpga_pipelined | gpu_table"),
         "resource_bound": ("optional_float", 900.0,
                            "DSP budget (FPGA kinds only)"),
-        "pf_max": ("optional_float", DeviceModel.pf_max,
+        "pf_max": ("optional_float", None,
                    "parallel-factor clamp; default log2(resource_bound)"),
         "gpu_table_path": ("optional_str", None,
                            "YAML latency table, required for gpu_table"),
     },
     "data": {
-        "classes": (int, _DS.num_classes, "number of texture classes"),
-        "samples_per_class": (int, _DS.samples_per_class,
+        "classes": (int, ("data", "num_classes"), "number of texture classes"),
+        "samples_per_class": (int, ("data", "samples_per_class"),
                               "samples generated per class"),
-        "height": (int, _DS.height, "image height"),
-        "width": (int, _DS.width, "image width"),
-        "channels": (int, _DS.channels, "image channels"),
-        "seed": (int, _DS.seed, "generator seed"),
-        "noise_std": (float, _DS.noise_std, "additive noise level"),
-        "fractions": ("float_list", list(_SC.fractions),
+        "height": (int, ("data", "height"), "image height"),
+        "width": (int, ("data", "width"), "image width"),
+        "channels": (int, ("data", "channels"), "image channels"),
+        "seed": (int, ("data", "seed"), "generator seed"),
+        "noise_std": (float, ("data", "noise_std"), "additive noise level"),
+        "fractions": ("float_list", ("fractions",),
                       "train/validation/test fractions (sum to 1)"),
     },
     "output": {
@@ -125,17 +127,23 @@ _SCHEMA = {
 
 
 def default_config() -> dict:
-    return {sec: {k: (list(v[1]) if isinstance(v[1], list) else v[1])
-                  for k, v in keys.items()}
-            for sec, keys in _SCHEMA.items()}
+    doc = {sec: {} for sec in _SCHEMA}
+    for sec, keys in _SCHEMA.items():
+        for key, (_, value, _) in keys.items():
+            if isinstance(value, tuple):
+                value = functools.reduce(getattr, value, _LIBRARY)
+            doc[sec][key] = list(value) if isinstance(value, (list, tuple)) else value
+    return doc
 
 
 def template_text() -> str:
     lines = ["# cosearch run configuration",
              "# every key is optional; these are the defaults", ""]
+    defaults = default_config()
     for sec, keys in _SCHEMA.items():
         lines.append(f"{sec}:")
-        for key, (_, default, comment) in keys.items():
+        for key, (_, _, comment) in keys.items():
+            default = defaults[sec][key]
             if default is None:
                 rendered = "null"
             elif isinstance(default, list):
@@ -228,20 +236,16 @@ def load_config_file(path) -> dict:
 
 def build_search_config(doc, seed=None, device_kind=None) -> SearchConfig:
     """Turn a validated config document into runnable objects."""
-    sp, dv, se, da = doc["space"], doc["device"], doc["search"], doc["data"]
+    dv = doc["device"]
+    parts = {}  # part name ("" for SearchConfig) -> field -> value
+    for sec, keys in _SCHEMA.items():
+        for key, (_, path, _) in keys.items():
+            if isinstance(path, tuple):
+                value = doc[sec][key]
+                parts.setdefault(path[-2] if len(path) > 1 else "", {})[path[-1]] = (
+                    tuple(value) if isinstance(value, list) else value)
     try:
-        space = SearchSpace(
-            num_blocks=sp["blocks"],
-            kernel_sizes=tuple(sp["kernel_sizes"]),
-            expansion_ratios=tuple(sp["expansion_ratios"]),
-            quant=QuantLevels(tuple(sp["bit_widths"])),
-            input_hw=tuple(sp["input_hw"]),
-            input_channels=sp["input_channels"],
-            stem_channels=sp["stem_channels"],
-            channel_plan=tuple(sp["channel_plan"]),
-            downsample_blocks=tuple(sp["downsample_blocks"]),
-            num_classes=sp["num_classes"],
-        )
+        space = SearchSpace(quant=QuantLevels(**parts["quant"]), **parts["space"])
     except SpaceError as exc:
         raise ConfigFileError(f"space: {exc}") from None
     kind = device_kind or dv["kind"]
@@ -266,28 +270,16 @@ def build_search_config(doc, seed=None, device_kind=None) -> SearchConfig:
             raise ConfigFileError(f"device.kind: unknown kind '{kind}'")
     except CostError as exc:
         raise ConfigFileError(f"device: {exc}") from None
-    res_norm = se["penalty_res_norm"]
+    res_norm = doc["search"]["penalty_res_norm"]
     if res_norm is None:
         res_norm = device.default_res_norm
+    if seed is not None:
+        parts[""]["seed"] = int(seed)
     try:
-        hyper = CostHyperparams(alpha=se["alpha"], beta=se["beta"],
-                                base=se["penalty_base"], res_norm=res_norm)
-        spec = datamod.DatasetSpec(
-            num_classes=da["classes"],
-            samples_per_class=da["samples_per_class"],
-            height=da["height"], width=da["width"], channels=da["channels"],
-            seed=da["seed"], noise_std=da["noise_std"])
         return SearchConfig(
-            space=space, device=device, hyper=hyper, data=spec,
-            fractions=tuple(da["fractions"]),
-            epochs=se["epochs"], steps_per_epoch=se["steps_per_epoch"],
-            batch_size=se["batch_size"], lr_weights=se["lr_weights"],
-            momentum=se["momentum"], lr_arch=se["lr_arch"], lr_pf=se["lr_pf"],
-            tau_start=se["tau_start"], tau_end=se["tau_end"],
-            seed=se["seed"] if seed is None else int(seed),
-            retune_steps=se["retune_steps"], retune_lr=se["retune_lr"],
-            retrain_epochs=se["retrain_epochs"],
-        )
+            space=space, device=device,
+            hyper=CostHyperparams(res_norm=res_norm, **parts["hyper"]),
+            data=datamod.DatasetSpec(**parts["data"]), **parts[""])
     except (CostError, SearchError, datamod.DataError, SpaceError) as exc:
         raise ConfigFileError(str(exc)) from None
 
@@ -374,13 +366,24 @@ def design_from_document(doc) -> DerivedDesign:
                 raise TypeError(f"block {i}: {key} must be an integer, "
                                 f"got {value!r}")
             values.append(value)
-    pfs = fields["parallel_factor"]
+    pfs, bits = fields["parallel_factor"], fields["bit_width"]
+    shared = doc["device"] == "gpu_table"  # the one kind with one bit-width
+    if doc["shared_precision"] is not shared:
+        raise ValueError(f"shared_precision must be {json.dumps(shared)} for "
+                         f"device {doc['device']}, got "
+                         f"{json.dumps(doc['shared_precision'])}")
+    got = doc["global_bit_width"]
+    want = bits[0] if shared and bits else None  # no blocks: eval refuses
+    if type(got) is not type(want) or got != want:  # refuses true for 1
+        raise ValueError(f"global_bit_width must be {json.dumps(want)} with "
+                         f"shared_precision {json.dumps(shared)}, got "
+                         f"{json.dumps(got)}")
     return DerivedDesign(
         device_kind=doc["device"],
         op_indices=fields["op_index"],
-        bit_widths=fields["bit_width"],
+        bit_widths=bits,
         parallel_factors=None if pfs.count(None) == len(pfs) else pfs,
-        shared_precision=doc["shared_precision"],
+        shared_precision=shared,
         predicted=dict(doc["predicted"]),
     )
 
@@ -436,6 +439,8 @@ def curves_csv(report) -> str:
 def _out_dir(doc, override):
     """The output directory, checked before the work; made when written."""
     path = override or os.environ.get(ENV_OUTPUT_DIR) or doc["output"]["directory"]
+    if not path:  # an empty flag or variable falls through to the config
+        raise ConfigFileError("output.directory: expected a non-empty path, got ''")
     head = path  # the nearest part of it that exists
     while head and not os.path.exists(head):
         head = os.path.dirname(head)

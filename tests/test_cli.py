@@ -1,9 +1,12 @@
+import functools
+import hashlib
 import json
 import math
 import os
 import re
 import types
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from cosearch import data as datamod
 from cosearch.costmodel import (CostHyperparams, DeviceModel,
                                 reference_gpu_table)
 from cosearch.oracle import OracleProtocol
-from cosearch.search import SearchConfig
+from cosearch.search import SearchConfig, config_hash
 from cosearch.supernet import QuantLevels, SearchSpace
 
 
@@ -104,6 +107,35 @@ class TestConfigSchema:
         assert (args.train_steps, args.protocol_seed, args.cap, args.workers) \
             == (protocol.train_steps, protocol.seed, protocol.cap,
                 protocol.workers)
+
+    def test_template_and_default_hash_are_pinned(self):
+        # a schema change that moves a byte of either shows here
+        text = cli.template_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "a8bcfe3dde868cbb96fd68b2f38444db402f0dd7431608535e29aa7aa5d567d8"
+        assert config_hash(cli.build_search_config(cli.default_config())) \
+            == "36fc39c7378e90864dbf9a88279c9db36ff34fd2"
+
+    def test_every_library_field_has_one_key(self):
+        # the parts themselves, the norm that penalty_res_norm sets by hand,
+        # and the library-only label noise
+        unmapped = {"space", "device", "hyper", "data", "quant", "res_norm",
+                    "label_noise"}
+        parts = (SearchConfig, SearchSpace, QuantLevels, CostHyperparams,
+                 datamod.DatasetSpec)
+        library = SearchConfig(space=SearchSpace(),
+                               device=DeviceModel.fpga_recursive(900.0))
+        named = Counter()
+        for keys in cli._SCHEMA.values():
+            for _, path, _ in keys.values():
+                if isinstance(path, tuple):
+                    owner = functools.reduce(getattr, path[:-1], library)
+                    named[type(owner), path[-1]] += 1
+        assert {part for part, _ in named} <= set(parts)
+        for part in parts:
+            for f in fields(part):
+                want = 0 if f.name in unmapped else 1
+                assert named[part, f.name] == want, (part.__name__, f.name)
 
     def test_every_key_reaches_its_field(self, tmp_path):
         # every value differs from the default and from every other key's,
@@ -422,6 +454,8 @@ class TestRefusedInput:
          "be > 0 and sum to 1, got [1.2, -0.4, 0.2]"),
         ([], {"output.formats": ["json", "xml"]},
          "output.formats[1]: expected one of json, csv, got 'xml'"),
+        ([], {"output.directory": ""},
+         "output.directory: expected a non-empty path, got ''"),
     ])
     def test_names_the_problem(self, tmp_path, capsys, flags, edits, message):
         doc = yaml.safe_load(SMALL_YAML.format(out=tmp_path / "o"))
@@ -433,14 +467,48 @@ class TestRefusedInput:
         assert cli.main(["search", "-c", str(cfg), *flags]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["search", "enumerate", "eval"])
+    def test_empty_output_directory_refused_before_work(
+            self, tmp_path, capsys, monkeypatch, command):
+        doc = yaml.safe_load(SMALL_YAML.format(out=tmp_path / "o"))
+        doc["output"]["directory"] = ""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        design = tmp_path / "design.json"
+        design.write_text(design_text())
 
-def design_text(device="fpga_recursive", pf=3, blocks=2, **bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a search, retrain or enumeration ran")
+        monkeypatch.setattr(cli, "run_search", no_work)
+        monkeypatch.setattr(cli, "retrain_design", no_work)
+        monkeypatch.setattr(cli.oraclemod, "rank_configs", no_work)
+        argv = [command, "-c", str(cfg)] + [str(design)] * (command == "eval")
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: output.directory: expected a non-empty path, "
+            "got ''\n")
+
+    def test_empty_flag_or_variable_falls_through(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = cli.default_config()
+        monkeypatch.setenv(cli.ENV_OUTPUT_DIR, "")
+        assert cli._out_dir(doc, "") == "runs"
+        monkeypatch.setenv(cli.ENV_OUTPUT_DIR, "env")
+        assert cli._out_dir(doc, "") == "env"
+
+
+def design_text(device="fpga_recursive", pf=3, blocks=2, top=(), **bad):
     """A design file for `device` with `blocks` blocks at parallel factor
-    `pf`, whose block 1 has the `bad` fields."""
+    `pf` and bit-width 4, whose block 1 has the `bad` fields and whose top
+    level has the `top` ones."""
     block = {"op_index": 0, "bit_width": 4, "parallel_factor": pf}
-    return json.dumps({"device": device, "shared_precision": False,
+    gpu = device == "gpu_table"
+    return json.dumps({"device": device, "shared_precision": gpu,
+                       "global_bit_width": 4 if gpu else None,
                        "predicted": {},
-                       "blocks": [block, {**block, **bad}][:blocks]})
+                       "blocks": [block, {**block, **bad}][:blocks],
+                       **dict(top)})
 
 
 class TestBadInputFile:
@@ -470,6 +538,17 @@ class TestBadInputFile:
          "block 0: parallel factor 3 for op 0, whose shared IP runs at 5"),
         ("eval", design_text(device="fpga_pipelined"),
          "design is for device fpga_pipelined, not fpga_recursive"),
+        ("eval", design_text(top={"shared_precision": True,
+                                  "global_bit_width": 4}),
+         "shared_precision must be false for device fpga_recursive, got true"),
+        ("eval", design_text(top={"global_bit_width": 99}),
+         "global_bit_width must be null with shared_precision false, got 99"),
+        ("eval-gpu", design_text("gpu_table", pf=None,
+                                 top={"shared_precision": False}),
+         "shared_precision must be true for device gpu_table, got false"),
+        ("eval-gpu", design_text("gpu_table", pf=None,
+                                 top={"global_bit_width": 8}),
+         "global_bit_width must be 4 with shared_precision true, got 8"),
         ("eval", design_text(parallel_factor=None),
          "block 1: parallel factor None is not an integer in 0..6"),
         ("eval", design_text(parallel_factor=-3),
@@ -498,7 +577,10 @@ class TestBadInputFile:
             "eval-float-parallel-factor", "eval-string-predicted",
             "eval-op-index-off-the-menu",
             "eval-too-few-blocks", "eval-conflicting-shared-ip",
-            "eval-other-device", "eval-null-parallel-factor",
+            "eval-other-device", "eval-shared-precision-on-fpga",
+            "eval-global-bit-width-on-fpga", "eval-gpu-unshared-precision",
+            "eval-gpu-global-bit-width-not-block-0s",
+            "eval-null-parallel-factor",
             "eval-negative-parallel-factor",
             "eval-parallel-factor-above-pf-max", "eval-gpu-two-bit-widths",
             "eval-gpu-parallel-factor", "compare-no-config-hash",
